@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   ntbshmem::bench::write_bench_json(
       "bench_ablation_pipeline.json", "ablation_pipeline",
       "put+quiet, 5-host right-only ring, full delivery",
-      {ntbshmem::bench::default_backend_name(), "ring",
+      {"fibers", "ring",
        ntbshmem::shmem::RuntimeOptions{}.fault_seed},
       samples);
   ntbshmem::bench::ObsCli::instance().report();

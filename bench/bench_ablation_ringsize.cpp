@@ -12,7 +12,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 
 namespace ntbshmem::bench {
 namespace {
@@ -40,7 +40,7 @@ RingSizeResult measure(int hosts) {
   sim::Engine engine;
   obs::Hub hub;
   ObsCli::instance().apply(engine, hub);
-  fabric::RingFabric ring(engine, config(hosts));
+  fabric::Fabric ring(engine, config(hosts));
   std::vector<std::byte> payload(kBlock, std::byte{0x11});
   std::vector<sim::Dur> elapsed(static_cast<std::size_t>(hosts), 0);
   for (int h = 0; h < hosts; ++h) {
@@ -108,7 +108,7 @@ void BM_RingSize(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Engine engine;
-    fabric::RingFabric ring(engine, config(hosts));
+    fabric::Fabric ring(engine, config(hosts));
     std::vector<std::byte> payload(kBlock, std::byte{0x22});
     for (int h = 0; h < hosts; ++h) {
       auto dst =
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
   ntbshmem::bench::write_bench_json(
       "bench_ablation_ringsize.json", "ablation_ringsize",
       "all hosts streaming 256 KiB blocks rightward, bare ring fabric",
-      {ntbshmem::bench::default_backend_name(), "ring",
+      {"fibers", "ring",
        ntbshmem::shmem::RuntimeOptions{}.fault_seed},
       samples);
   ntbshmem::bench::ObsCli::instance().report();

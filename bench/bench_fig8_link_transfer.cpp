@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "common/timing_params.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 
 namespace ntbshmem::bench {
 namespace {
@@ -40,7 +40,7 @@ std::vector<double> measure(std::uint64_t size, const std::vector<int>& active) 
   sim::Engine engine;
   obs::Hub hub;
   ObsCli::instance().apply(engine, hub);
-  fabric::RingFabric ring(engine, fig8_config());
+  fabric::Fabric ring(engine, fig8_config());
   std::vector<std::byte> payload(size, std::byte{0xa5});
   std::vector<sim::Dur> elapsed(static_cast<std::size_t>(kHosts), 0);
 
@@ -126,7 +126,7 @@ void BM_LinkTransfer(benchmark::State& state) {
       simultaneous ? std::vector<int>{0, 1, 2} : std::vector<int>{0};
   for (auto _ : state) {
     sim::Engine engine;
-    fabric::RingFabric ring(engine, fig8_config());
+    fabric::Fabric ring(engine, fig8_config());
     std::vector<std::byte> payload(size, std::byte{0x5a});
     sim::Dur elapsed = 0;
     for (int link : active) {

@@ -1,15 +1,14 @@
-// Engine scale sweep: fiber vs thread process backends at 16..1024 hosts.
+// Engine scale sweep: the fiber-backed engine at 16..1024 hosts.
 //
 // Every other bench measures the *model* (virtual time of a transfer).
 // This one measures the *simulator*: wall-clock and dispatch throughput of
 // the DES core itself, on a workload shaped like the fabric sweeps that
-// motivated the fiber backend — per-host processes exchanging neighbour
+// motivated the fiber engine — per-host processes exchanging neighbour
 // notifications on a ring or 2-D torus, synchronising through a tree-style
 // barrier every round, with pooled timer callbacks churning throughout.
 //
-// Reported per (backend, topology, hosts):
-//   * wall_ms          — real time for spawn + run (thread creation is part
-//                        of what the thread backend pays, so it counts),
+// Reported per (topology, hosts):
+//   * wall_ms          — real time for spawn + run,
 //   * events_per_sec   — Engine::dispatch_count() / wall seconds,
 //   * callback_slots_created vs callbacks_scheduled — the slot pool's
 //                        allocation savings (slots << scheduled),
@@ -19,7 +18,6 @@
 // Environment knobs (CI's sim-scale job caps the sweep):
 //   NTBSHMEM_SCALE_HOSTS          comma list, default "16,64,256,1024"
 //   NTBSHMEM_SCALE_ROUNDS         rounds per run, default 30
-//   NTBSHMEM_SCALE_MAX_THREAD_HOSTS  thread-backend cap, default 256
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -112,10 +110,9 @@ struct ScaleResult {
   std::uint64_t cbs_scheduled = 0;
 };
 
-ScaleResult measure(sim::EngineBackend backend,
-                    const std::vector<std::vector<int>>& out, int rounds) {
+ScaleResult measure(const std::vector<std::vector<int>>& out, int rounds) {
   const int n = static_cast<int>(out.size());
-  sim::Engine engine(backend);
+  sim::Engine engine;
   std::vector<std::unique_ptr<sim::Event>> ev;
   std::vector<std::uint64_t> inbox(static_cast<std::size_t>(n), 0);
   ev.reserve(static_cast<std::size_t>(n));
@@ -184,23 +181,15 @@ ScaleSample to_sample(const ScaleResult& r, std::string mode, int hosts,
 
 std::vector<ScaleSample> sweep() {
   const int rounds = env_int("NTBSHMEM_SCALE_ROUNDS", 30);
-  const int max_thread_hosts = env_int("NTBSHMEM_SCALE_MAX_THREAD_HOSTS", 256);
   std::vector<ScaleSample> samples;
   for (int hosts : host_counts()) {
     for (const char* topo : {"ring", "torus"}) {
       const auto out =
           std::string(topo) == "ring" ? ring_out(hosts) : torus_out(hosts);
-      const ScaleResult fib =
-          measure(sim::EngineBackend::kFibers, out, rounds);
+      const ScaleResult fib = measure(out, rounds);
       samples.push_back(to_sample(fib, std::string("fibers-") + topo, hosts,
                                   rounds,
                                   sim::Fiber::default_stack_bytes() / 1024));
-      if (hosts <= max_thread_hosts) {
-        const ScaleResult thr =
-            measure(sim::EngineBackend::kThreads, out, rounds);
-        samples.push_back(
-            to_sample(thr, std::string("threads-") + topo, hosts, rounds, 0));
-      }
     }
   }
   // Fiber stack-size ablation at the 256-host ring point: the switch cost
@@ -209,8 +198,7 @@ std::vector<ScaleSample> sweep() {
   const int ab_hosts = 256;
   for (const char* kib : {"64", "256", "1024"}) {
     setenv("NTBSHMEM_FIBER_STACK_KiB", kib, 1);
-    const ScaleResult r =
-        measure(sim::EngineBackend::kFibers, ring_out(ab_hosts), rounds);
+    const ScaleResult r = measure(ring_out(ab_hosts), rounds);
     samples.push_back(to_sample(r, std::string("fibers-stack") + kib + "KiB",
                                 ab_hosts, rounds,
                                 std::strtoull(kib, nullptr, 10)));
@@ -220,7 +208,7 @@ std::vector<ScaleSample> sweep() {
 }
 
 void print_report(const std::vector<ScaleSample>& samples) {
-  Table t("Simulator scale sweep: wall-clock per backend/topology "
+  Table t("Simulator scale sweep: wall-clock per topology "
           "(spawn + full run)",
           {"Hosts / mode", "Wall ms", "Mevents/s", "Slots", "Callbacks"});
   for (const ScaleSample& s : samples) {
@@ -230,28 +218,13 @@ void print_report(const std::vector<ScaleSample>& samples) {
                static_cast<double>(s.callbacks_scheduled)});
   }
   t.print(std::cout);
-  // The headline number: fiber speedup over threads where both ran.
-  for (const ScaleSample& f : samples) {
-    if (f.mode.rfind("fibers-", 0) != 0 || f.fiber_stack_kib == 0) continue;
-    const std::string topo = f.mode.substr(7);
-    if (topo.rfind("stack", 0) == 0) continue;
-    for (const ScaleSample& th : samples) {
-      if (th.mode == "threads-" + topo && th.hosts == f.hosts &&
-          f.wall_ms > 0) {
-        std::cout << "speedup " << topo << " x" << f.hosts << ": "
-                  << th.wall_ms / f.wall_ms << "x (threads " << th.wall_ms
-                  << " ms -> fibers " << f.wall_ms << " ms)\n";
-      }
-    }
-  }
 }
 
 void BM_EngineScaleFibers(benchmark::State& state) {
   const int hosts = static_cast<int>(state.range(0));
   const int rounds = env_int("NTBSHMEM_SCALE_ROUNDS", 30);
   for (auto _ : state) {
-    const ScaleResult r =
-        measure(sim::EngineBackend::kFibers, ring_out(hosts), rounds);
+    const ScaleResult r = measure(ring_out(hosts), rounds);
     state.counters["Mevents/s"] =
         r.wall_ms > 0
             ? static_cast<double>(r.dispatches) / (r.wall_ms * 1e3)
@@ -280,8 +253,8 @@ int main(int argc, char** argv) {
   ntbshmem::bench::write_scale_json(
       "bench_sim_engine.json", "sim_engine_scale",
       "per-host neighbour exchange + tree barrier + pooled timer churn; "
-      "ring and torus at 16..1024 hosts, fiber vs thread backends",
-      {"fibers+threads", "ring+torus2d", 0},
+      "ring and torus at 16..1024 hosts",
+      {"fibers", "ring+torus2d", 0},
       samples);
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -3,12 +3,11 @@
 //
 // The default configuration (a ring) reproduces the paper's prototype
 // (Fig. 2/7) byte-for-byte: same construction order, names, vector bases
-// and per-link DMA-rate spread as the original RingFabric — which is now a
-// type alias for this class (see ring.hpp). Other topologies generalise
-// the same point-to-point NTB links into chordal rings, 2-D tori and full
-// meshes; there is still no PCIe switch anywhere, every hop is an
-// independent NTB connection and non-neighbour traffic is forwarded by
-// intermediate hosts.
+// and per-link DMA-rate spread as the original ring-only fabric. Other
+// topologies generalise the same point-to-point NTB links into chordal
+// rings, 2-D tori and full meshes; there is still no PCIe switch anywhere,
+// every hop is an independent NTB connection and non-neighbour traffic is
+// forwarded by intermediate hosts.
 #pragma once
 
 #include <array>

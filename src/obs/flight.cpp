@@ -21,6 +21,7 @@ const char* flight_code_name(FlightCode code) {
     case FlightCode::kOooDrop: return "ooo_drop";
     case FlightCode::kBarrierToken: return "barrier_token";
     case FlightCode::kDeliveryAck: return "delivery_ack";
+    case FlightCode::kBarrierRx: return "barrier_rx";
   }
   return "unknown";
 }

@@ -40,6 +40,7 @@ enum class FlightCode : std::uint16_t {
   kOooDrop = 15,     // a: port, b: got seq, c: expected seq
   kBarrierToken = 16,// a: origin pe, b: direction (0 up, 1 down)
   kDeliveryAck = 17, // a: origin pe, c: op id
+  kBarrierRx = 18,   // a: port, b: 0 ring start / tree up, 1 end / down
 };
 
 // Stable lowercase names for dumps.

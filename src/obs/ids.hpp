@@ -1,11 +1,10 @@
 // Interned identifiers for the observability layer.
 //
 // Hot-path instrumentation must not construct or hash std::strings per
-// record (the O(n)-string cost that made sim::TraceRecorder unusable as a
-// profiler). Components intern their category/event names once — typically
-// at construction — and record small integer ids from then on. Interned ids
-// are dense, stable for the lifetime of the interner, and reversible for
-// export.
+// record (the O(n)-string cost of a string-message log). Components intern
+// their category/event names once — typically at construction — and record
+// small integer ids from then on. Interned ids are dense, stable for the
+// lifetime of the interner, and reversible for export.
 #pragma once
 
 #include <cstdint>

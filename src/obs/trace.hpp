@@ -8,10 +8,10 @@
 // newest N records per track (long soak runs).
 //
 // Cost model: every record method first checks enabled() and returns
-// immediately when tracing is off (the null-recorder pattern of
-// sim::TraceRecorder). Recording never touches the simulation engine, so
-// enabling tracing cannot perturb virtual time — golden-time tests pass
-// bit-identically with tracing on (asserted by shmem_pipeline_test).
+// immediately when tracing is off (the null-recorder pattern). Recording
+// never touches the simulation engine, so enabling tracing cannot perturb
+// virtual time — golden-time tests pass bit-identically with tracing on
+// (asserted by shmem_pipeline_test).
 //
 // Export: obs/export.hpp serializes a Tracer into Chrome trace-event JSON
 // (loadable in Perfetto / chrome://tracing), mapping track processes to
@@ -87,8 +87,8 @@ class Tracer {
       push(track, {t, RecordKind::kInstant, cat, ev, 0, value, kNoDetail});
   }
   // Instant carrying a free-form string payload (rare events only — fault
-  // injections, legacy TraceRecorder mirroring); the string is stored in a
-  // side table and referenced by index.
+  // injections); the string is stored in a side table and referenced by
+  // index.
   void instant_detail(TrackId track, CategoryId cat, EventId ev, sim::Time t,
                       std::string detail);
   void async_begin(TrackId track, CategoryId cat, EventId ev, sim::Time t,

@@ -8,7 +8,7 @@
 #include "backend/kind.hpp"
 #include "common/timing_params.hpp"
 #include "common/units.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 #include "sim/fault.hpp"
 
 namespace ntbshmem::shmem {
@@ -86,13 +86,6 @@ struct TransportTuning {
   // robustness feature, not a performance one, so all_on() leaves it off —
   // fault workloads opt in explicitly via reliable()).
   ReliabilityParams reliability;
-
-  // TEST-ONLY planted bug for the model checker's self-check (tools/mck
-  // --seed-bug): deliver_put acknowledges and notifies BEFORE the heap
-  // write lands (deferred to a same-timestamp callback), violating the
-  // write-before-notify guarantee. Never set outside mck's acceptance
-  // gate; every shipped configuration leaves it false.
-  bool bug_ack_before_write = false;
 
   bool pipelined() const {
     return tx_credits > 1 || overlap_segment_setup || cut_through_forwarding;
@@ -184,11 +177,6 @@ struct RuntimeOptions {
   // excluded from drop injection (reliable control path; DESIGN.md §4b).
   sim::FaultSpec faults;
   std::uint64_t fault_seed = 0x5eedf00d;
-
-  // Record protocol events (frames, barrier signals, operations) into
-  // Runtime::trace() — used by tests that assert protocol ordering and by
-  // debugging sessions. Off by default: benchmarks must not pay for it.
-  bool trace_enabled = false;
 
   // Typed span tracing + metrics (Runtime::obs(), exported via obs/export).
   ObsOptions obs;

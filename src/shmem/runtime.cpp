@@ -296,7 +296,6 @@ Runtime::Runtime(const RuntimeOptions& options)
         "ReliabilityParams: ack_timeout > 0, backoff >= 1.0, "
         "max_retries >= 1 and dma_retries >= 0 required");
   }
-  trace_.set_enabled(options_.trace_enabled);
   // Schedule auditing must switch on before anything is queued on the
   // engine so the digest covers every dispatch and the tie-break
   // permutation covers the very first service spawns.
@@ -309,9 +308,6 @@ Runtime::Runtime(const RuntimeOptions& options)
   obs_.tracer.set_ring_capacity(options_.obs.ring_capacity);
   obs_.causal.set_enabled(options_.obs.causal_enabled);
   engine_.attach_obs(&obs_);
-  // Legacy trace records (notably fault injections) tee onto the exported
-  // timeline as instant events.
-  trace_.bind_mirror(&obs_.tracer);
   // The fault plan is always attached: an all-zero spec short-circuits at
   // every site without waits or PRNG draws, so the paper-mode golden times
   // are bit-identical with the plan in place (asserted by pipeline_test).
@@ -323,12 +319,13 @@ Runtime::Runtime(const RuntimeOptions& options)
     spec.doorbell_drop_mask &= static_cast<std::uint16_t>(
         ~((1u << kDbBarrierStart) | (1u << kDbBarrierEnd)));
     fault_plan_ = std::make_unique<sim::FaultPlan>(options_.fault_seed, spec);
-    fault_plan_->bind_trace(&trace_);
+    // Injections show up on the exported timeline as instant events.
+    fault_plan_->bind_tracer(&obs_.tracer);
     engine_.attach_faults(fault_plan_.get());
   }
   if (backend_kind_ == backend::Kind::kSim) {
-    fabric_ = std::make_unique<fabric::RingFabric>(engine_,
-                                                   options_.fabric_config());
+    fabric_ = std::make_unique<fabric::Fabric>(engine_,
+                                               options_.fabric_config());
     // Routing/topology compatibility: the legacy right-only circulation is
     // only defined where port 0 walks a ring, and dimension-order needs
     // torus coordinates. Checked here rather than deep in
@@ -395,9 +392,16 @@ Runtime::Runtime(const RuntimeOptions& options)
   }
 }
 
-Runtime::~Runtime() = default;
+Runtime::~Runtime() {
+  // Unwind the service daemons while everything they touch still exists:
+  // a daemon killed mid-frame closes its spans on the hub and reads its
+  // transport on the way out. Members are destroyed in reverse declaration
+  // order, so left to ~Engine this would run after obs_, fabric_ and
+  // transports_ are gone.
+  engine_.shutdown();
+}
 
-fabric::RingFabric& Runtime::fabric() {
+fabric::Fabric& Runtime::fabric() {
   if (!fabric_) {
     throw std::logic_error(
         "Runtime::fabric(): no simulated fabric on the shm backend");

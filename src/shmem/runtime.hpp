@@ -23,14 +23,13 @@
 #include <vector>
 
 #include "backend/kind.hpp"
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 #include "obs/hub.hpp"
 #include "shmem/options.hpp"
 #include "shmem/symheap.hpp"
 #include "shmem/transport.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::backend {
 class Backend;
@@ -168,7 +167,7 @@ class Runtime {
   bool has_fabric() const { return fabric_ != nullptr; }
   // Sim-backend-only accessors; throw std::logic_error on the shm backend
   // (which has no simulated fabric or NTB transports).
-  fabric::RingFabric& fabric();
+  fabric::Fabric& fabric();
   Transport& host_transport(int host);
   Context& context(int pe) { return *contexts_.at(static_cast<std::size_t>(pe)); }
   int npes() const { return options_.npes; }
@@ -184,9 +183,6 @@ class Runtime {
   // Per-PE POD result mailbox that survives the run loop on every backend
   // (under fork it is the only road a PE's results travel back on).
   std::span<std::byte> pe_scratch(int pe);
-
-  // Protocol trace (populated when options().trace_enabled).
-  sim::TraceRecorder& trace() { return trace_; }
 
   // Observability hub: typed span tracer + metrics registry. Always
   // attached to the engine; spans record only when options().obs asks.
@@ -242,13 +238,12 @@ class Runtime {
   obs::Hub obs_;
   std::unique_ptr<sim::FaultPlan> fault_plan_;
   // Sim backend only (null on shm): the simulated fabric + NTB transports.
-  std::unique_ptr<fabric::RingFabric> fabric_;
+  std::unique_ptr<fabric::Fabric> fabric_;
   std::vector<std::unique_ptr<Transport>> transports_;  // one per host
   // The data-path backend; built after fabric/transports (the DES facade
   // binds them), before the contexts (whose heaps live in backend arenas).
   std::unique_ptr<backend::Backend> backend_;
   std::vector<std::unique_ptr<Context>> contexts_;  // one per PE
-  sim::TraceRecorder trace_;
 };
 
 // RAII helper used by Runtime::run to bind the TLS context.

@@ -190,9 +190,6 @@ class Transport {
   // ring-like fabrics and the kBarrierToken tree otherwise (or when
   // TransportTuning::topology_collectives opts the ring in).
   void barrier(int origin_pe);
-  // Backwards-compatible alias for barrier() (the historical name; the ring
-  // protocol is selected automatically on ring-like fabrics).
-  void barrier_ring(int origin_pe) { barrier(origin_pe); }
   // Blocks until the RX service signals a local symmetric-heap update
   // (building block of shmem_wait_until).
   void wait_heap_change();
@@ -214,20 +211,10 @@ class Transport {
   const ChannelReliability& channel_reliability(int port) const {
     return tx_.at(static_cast<std::size_t>(port))->rel;
   }
-  // Ring-surface shim: Direction doubles as the port index (kRight == port
-  // 0, kLeft == port 1), matching fabric::Fabric's ring accessors.
-  const ChannelReliability& channel_reliability(fabric::Direction d) const {
-    return channel_reliability(static_cast<int>(d));
-  }
   // Staging buffer for frames arriving through adapter `in_port` (the
   // bypass buffer of paper Fig. 4; written by that port's peer host).
   host::Region staging_in(int in_port) const {
     return staging_in_.at(static_cast<std::size_t>(in_port));
-  }
-  // Ring-surface shim: frames "from the left" arrive through the left
-  // adapter (port 1), frames "from the right" through port 0.
-  host::Region staging_region(fabric::Direction from) const {
-    return staging_in(static_cast<int>(from));
   }
   // Allocates a fresh completion-domain id (per-PE contexts draw from the
   // host transport so ids never collide between co-resident PEs).
@@ -261,6 +248,9 @@ class Transport {
   void check_protocol_invariants() const;
 
  private:
+  // Arms the planted bug below; defined only by tools/mck.
+  friend class TransportTestPeer;
+
   // One TX adapter of the host. `credits` is the number of frames that may
   // be in flight before the sender must wait for an ACK doorbell: 1 is the
   // paper's handshake; N>1 is the pipelined mode, where the receiver's
@@ -514,8 +504,6 @@ class Transport {
   void send_barrier_token(int dst_host, int phase,
                           const obs::TraceCtx& cause = {});
 
-  // Appends a protocol-trace record when tracing is enabled.
-  void trace(const char* category, const std::string& message);
   // ---- observability ----
   // Caches tracks/categories/instruments from the engine's obs::Hub (no-op
   // without one); called once from the constructor.
@@ -614,6 +602,12 @@ class Transport {
   std::uint32_t next_msg_id_ = 1;
   int next_domain_ = 1;  // 0 is reserved (kDefaultDomain, unused directly)
   TransportStats stats_;
+
+  // Planted bug for the model checker's self-check (mck --seed-bug):
+  // deliver_put acknowledges and notifies BEFORE the heap write lands
+  // (deferred to a same-timestamp callback), violating write-before-notify.
+  // Only TransportTestPeer sets it; the runtime never does.
+  bool bug_ack_before_write_ = false;
 
   // Observability: interned ids + instruments cached by init_obs(). The
   // tracer pointer stays null without a hub; counters/histograms fall back

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/log.hpp"
@@ -13,23 +12,11 @@
 namespace ntbshmem::sim {
 
 namespace {
-// The process currently executing on this OS thread (kThreads: one per
-// backing thread; kFibers: maintained across every switch on the single
-// engine thread, and doubles as the argument channel into a fresh fiber's
-// trampoline, which ucontext cannot pass parameters to).
+// The process currently executing on this OS thread: maintained across
+// every switch on the engine thread, and doubles as the argument channel
+// into a fresh fiber's trampoline, which ucontext cannot pass parameters to.
 // detlint:allow(no-mutable-static): per-OS-thread identity binding for the serialized process model; set/cleared on every handoff, never carries state across runs
 thread_local Process* t_current_process = nullptr;
-
-EngineBackend backend_from_env() {
-  const char* env = std::getenv("NTBSHMEM_SIM_BACKEND");
-  if (env == nullptr || *env == '\0') return EngineBackend::kFibers;
-  const std::string_view v(env);
-  if (v == "fibers" || v == "fiber") return EngineBackend::kFibers;
-  if (v == "threads" || v == "thread") return EngineBackend::kThreads;
-  throw std::invalid_argument(
-      "NTBSHMEM_SIM_BACKEND must be 'fibers' or 'threads', got: " +
-      std::string(v));
-}
 }  // namespace
 
 Process* current_process() noexcept { return t_current_process; }
@@ -41,15 +28,7 @@ Process::Process(Engine& engine, std::string name, std::function<void()> body,
     : engine_(engine),
       name_(std::move(name)),
       body_(std::move(body)),
-      daemon_(daemon) {
-  // Fibers are created lazily at first resume; threads must exist up front
-  // so the scheduler has something to release.
-  if (engine_.backend_ == EngineBackend::kThreads) start_thread();
-}
-
-Process::~Process() {
-  if (thread_.joinable()) thread_.join();
-}
+      daemon_(daemon) {}
 
 void Process::run_body_and_finish() {
   if (!killed_) {
@@ -77,16 +56,6 @@ void Process::mark_finished() {
   engine_.live_count_--;
 }
 
-void Process::start_thread() {
-  thread_ = std::thread([this]() {
-    resume_.acquire();  // wait for the scheduler to start us
-    t_current_process = this;
-    run_body_and_finish();
-    t_current_process = nullptr;
-    engine_.sched_sem_.release();  // hand control back for good
-  });
-}
-
 void Process::fiber_trampoline() {
   Process* p = t_current_process;  // stashed by Engine::resume pre-switch
   Fiber::on_entry(*p->fiber_);
@@ -104,12 +73,7 @@ void Process::block() {
     if (std::uncaught_exceptions() == 0) throw ProcessKilled{};
     return;
   }
-  if (engine_.backend_ == EngineBackend::kThreads) {
-    engine_.sched_sem_.release();
-    resume_.acquire();
-  } else {
-    Fiber::switch_to(*fiber_, engine_.sched_fiber_);
-  }
+  Fiber::switch_to(*fiber_, engine_.sched_fiber_);
   epoch_++;  // consume: any still-queued wake-up for the old epoch is stale
   if (killed_ && std::uncaught_exceptions() == 0) throw ProcessKilled{};
 }
@@ -122,10 +86,7 @@ void CallbackHandle::cancel() {
 
 // ---- Engine ----------------------------------------------------------------
 
-Engine::Engine() : Engine(backend_from_env()) {}
-
-Engine::Engine(EngineBackend backend)
-    : backend_(backend), fiber_stack_bytes_(Fiber::default_stack_bytes()) {
+Engine::Engine() : fiber_stack_bytes_(Fiber::default_stack_bytes()) {
   // Log lines carry the virtual clock while this engine exists, so printf
   // debugging correlates with trace/metric timestamps. The owner token keeps
   // a dying engine from clobbering a newer one's registration.
@@ -204,23 +165,17 @@ void Engine::schedule_process(Time t, Process* p) {
 void Engine::resume(Process* p) {
   Process* prev = current_;
   current_ = p;
-  if (backend_ == EngineBackend::kThreads) {
+  t_current_process = p;
+  if (!p->started_) {
     p->started_ = true;
-    p->resume_.release();
-    sched_sem_.acquire();
-  } else {
-    t_current_process = p;
-    if (!p->started_) {
-      p->started_ = true;
-      p->fiber_ = std::make_unique<Fiber>(&Process::fiber_trampoline,
-                                          fiber_stack_bytes_);
-    }
-    Fiber::switch_to(sched_fiber_, *p->fiber_);
-    t_current_process = nullptr;
-    // Release the stack (and TSan handle) as soon as a process ends, not
-    // at engine teardown — scale runs retire thousands of processes.
-    if (p->finished_ && p->fiber_) p->fiber_->release_dead();
+    p->fiber_ = std::make_unique<Fiber>(&Process::fiber_trampoline,
+                                        fiber_stack_bytes_);
   }
+  Fiber::switch_to(sched_fiber_, *p->fiber_);
+  t_current_process = nullptr;
+  // Release the stack (and TSan handle) as soon as a process ends, not at
+  // engine teardown — scale runs retire thousands of processes.
+  if (p->finished_ && p->fiber_) p->fiber_->release_dead();
   current_ = prev;
 }
 
@@ -426,10 +381,7 @@ void Engine::shutdown() {
   for (auto& p : processes_) {
     if (p->finished()) continue;
     p->killed_ = true;
-    if (backend_ == EngineBackend::kThreads) {
-      p->resume_.release();
-      sched_sem_.acquire();
-    } else if (!p->started_) {
+    if (!p->started_) {
       // Never entered its fiber — nothing to unwind, no stack was built.
       p->mark_finished();
     } else {
@@ -437,7 +389,7 @@ void Engine::shutdown() {
     }
     assert(p->finished());
   }
-  // Threads are joined by ~Process; fiber stacks were released on finish.
+  // Fiber stacks were released as each process finished.
 }
 
 }  // namespace ntbshmem::sim

@@ -12,20 +12,12 @@
 //   * zero wall-clock dependence: the virtual clock is driven purely by the
 //     timing model.
 //
-// Two backends implement the process mechanics behind the same API:
-//
-//   * kFibers (default): stackful ucontext fibers with guard-paged stacks
-//     (sim/fiber.hpp). A process switch is one user-space context swap, so
-//     the engine scales to thousands of processes — 1024-host fabric
-//     sweeps run where the thread backend thrashes (bench_sim_engine).
-//   * kThreads: the original OS-thread-per-process backend, serialized by
-//     semaphore handoffs. Kept as the before/after ablation baseline and
-//     selectable with NTBSHMEM_SIM_BACKEND=threads.
-//
-// Both produce bit-identical schedules (same dispatch order, same schedule
-// digests); only wall-clock cost differs. The run queue is a calendar
-// queue (sim/calendar_queue.hpp) whose dispatch order is provably the same
-// (time, tie, seq) total order a binary heap yields.
+// Processes are stackful ucontext fibers with guard-paged stacks
+// (sim/fiber.hpp), all on the engine's one OS thread. A process switch is
+// one user-space context swap, so the engine scales to thousands of
+// processes (1024-host fabric sweeps; bench_sim_engine). The run queue is
+// a calendar queue (sim/calendar_queue.hpp) whose dispatch order is
+// provably the same (time, tie, seq) total order a binary heap yields.
 //
 // The engine also supports inline callbacks (`call_at`/`call_after`) that
 // run in scheduler context without a context switch — used for interrupt
@@ -43,10 +35,8 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/audit.hpp"
@@ -79,14 +69,10 @@ class SimDeadlock : public std::runtime_error {
 
 enum class WakeReason : std::uint8_t { kNone, kNotified, kTimeout };
 
-// How Process execution contexts are implemented; see the header comment.
-enum class EngineBackend : std::uint8_t { kFibers, kThreads };
-
 class Process {
  public:
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
-  ~Process();
 
   const std::string& name() const { return name_; }
   bool finished() const { return finished_; }
@@ -94,9 +80,9 @@ class Process {
   Engine& engine() const { return engine_; }
 
   // Opaque process-local binding slot for upper layers (the SHMEM runtime
-  // parks its per-PE Context here). Process-local, NOT thread-local: under
-  // the fiber backend every process shares one OS thread, so identity that
-  // must follow a process across blocks has to live on the Process itself.
+  // parks its per-PE Context here). Process-local, NOT thread-local: every
+  // process shares the engine's OS thread, so identity that must follow a
+  // process across blocks has to live on the Process itself.
   void set_user_binding(void* b) { user_binding_ = b; }
   void* user_binding() const { return user_binding_; }
 
@@ -107,11 +93,10 @@ class Process {
   Process(Engine& engine, std::string name, std::function<void()> body,
           bool daemon);
 
-  void start_thread();  // kThreads: launch the backing OS thread
   // Yields control back to the scheduler; returns when rescheduled.
   void block();
   // Runs the body with the shared exception protocol, then does the
-  // finished-process accounting. Both backends funnel through here.
+  // finished-process accounting.
   void run_body_and_finish();
   void mark_finished();
   // Fiber entry point; reads the process to start from the engine's
@@ -131,18 +116,15 @@ class Process {
   std::uint64_t epoch_ = 0;
   WakeReason wake_reason_ = WakeReason::kNone;
   Event* waiting_on_ = nullptr;  // diagnostics + timeout cleanup
-  // kFibers: created lazily on first resume (a process killed before it
-  // ever ran needs no stack); stack released eagerly on finish.
+  // Created lazily on first resume (a process killed before it ever ran
+  // needs no stack); stack released eagerly on finish.
   std::unique_ptr<Fiber> fiber_;
-  // kThreads only.
-  std::binary_semaphore resume_{0};
-  std::thread thread_;
   void* user_binding_ = nullptr;  // see set_user_binding()
 };
 
 // The process currently executing on the calling OS thread, or nullptr in
-// scheduler/callback context. Identical semantics under both backends: the
-// binding is set just before a process runs and cleared when it yields.
+// scheduler/callback context: the binding is set just before a process runs
+// and cleared when it yields.
 Process* current_process() noexcept;
 
 // Handle for a scheduled inline callback; cancel() is idempotent and safe
@@ -167,17 +149,12 @@ class CallbackHandle {
 
 class Engine {
  public:
-  // Default backend: NTBSHMEM_SIM_BACKEND ("fibers" | "threads"), fibers
-  // when unset. The explicit-backend overload pins it programmatically
-  // (used by bench_sim_engine's ablation and the backend-parity tests).
   Engine();
-  explicit Engine(EngineBackend backend);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   Time now() const { return now_; }
-  EngineBackend backend() const { return backend_; }
 
   // Creates a process; it is scheduled to start at the current time.
   // Daemon processes (service threads) do not keep run() alive.
@@ -360,10 +337,9 @@ class Engine {
   // re-queue the rest with their original keys.
   bool next_dispatch(QueueItem* out);
 
-  EngineBackend backend_;
   std::size_t fiber_stack_bytes_;
   // The scheduler side of every fiber switch: the engine thread's own
-  // context. Unused (but inert) under kThreads.
+  // context.
   Fiber sched_fiber_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -380,7 +356,6 @@ class Engine {
   BranchHook* hook_ = nullptr;
   FaultPlan* faults_ = nullptr;
   obs::Hub* obs_ = nullptr;
-  std::binary_semaphore sched_sem_{0};  // kThreads handoff
   std::exception_ptr first_error_;
   bool shutting_down_ = false;
   bool digest_enabled_ = false;

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "sim/branch.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::sim {
 
@@ -96,7 +96,12 @@ std::uint32_t FaultPlan::draw_mask(Site site, const std::string& key) {
 }
 
 void FaultPlan::note(Time now, const std::string& message) {
-  if (trace_ != nullptr) trace_->record(now, "fault", message);
+  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  // Rare-event path: interning per record is fine.
+  const obs::TrackId track = tracer_->track("trace", "fault");
+  const obs::CategoryId cat = tracer_->category("fault");
+  const obs::EventId ev = tracer_->event("fault");
+  tracer_->instant_detail(track, cat, ev, now, message);
 }
 
 bool FaultPlan::drop_doorbell(Time now, const std::string& port, int bit) {

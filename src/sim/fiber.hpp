@@ -3,7 +3,7 @@
 // A Fiber is a user-space execution context: its own guard-paged stack plus
 // saved registers. The engine backs every simulated Process with one, so a
 // process step costs a user-space context swap instead of the two
-// kernel-mediated semaphore round-trips the thread-backed engine paid.
+// kernel-mediated semaphore round-trips of an OS-thread-per-process engine.
 // There is deliberately no scheduling here — the engine decides who runs;
 // Fiber only implements the mechanics.
 //

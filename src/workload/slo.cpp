@@ -41,10 +41,6 @@ SloLatency latency_from_row(std::string name, const obs::MetricRow& row) {
 
 }  // namespace
 
-std::string backend_name(const sim::Engine& engine) {
-  return engine.backend() == sim::EngineBackend::kFibers ? "fibers" : "threads";
-}
-
 std::string topology_name(const fabric::TopologySpec& spec) {
   switch (spec.kind) {
     case fabric::TopologyKind::kRing:
@@ -100,7 +96,7 @@ SloReport build_slo_report(shmem::Runtime& rt, const ScenarioReport& run,
   // The shm backend has no simulated fabric: latencies are wall-clock and
   // the sim-only metadata (topology/tuning/fault plan) does not apply.
   const bool sim = rt.has_fabric();
-  r.backend = sim ? backend_name(rt.engine()) : "shm";
+  r.backend = sim ? "fibers" : "shm";
   r.clock = sim ? "virtual" : "wall";
   r.topology = sim ? topology_name(rt.options().topology) : "none";
   r.tuning = sim ? tuning_name(rt.options().tuning) : "none";
@@ -141,7 +137,7 @@ SloReport build_slo_report(shmem::Runtime& rt, const ScenarioReport& run,
   }
 
   if (sim) {
-    fabric::RingFabric& fab = rt.fabric();
+    fabric::Fabric& fab = rt.fabric();
     for (int i = 0; i < fab.num_links(); ++i) {
       pcie::Link& link = fab.link(i);
       SloLink l;

@@ -1,5 +1,5 @@
 // Ring fabric construction, routing math and cross-host data movement.
-#include "fabric/ring.hpp"
+#include "fabric/fabric.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ FabricConfig small_config(int n) {
 TEST(RingFabricTest, BuildsRequestedSize) {
   for (int n : {2, 3, 4, 5, 8}) {
     sim::Engine engine;
-    RingFabric ring(engine, small_config(n));
+    Fabric ring(engine, small_config(n));
     EXPECT_EQ(ring.size(), n);
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(ring.host(i).id(), i);
@@ -31,13 +31,13 @@ TEST(RingFabricTest, BuildsRequestedSize) {
 
 TEST(RingFabricTest, RejectsDegenerateSize) {
   sim::Engine engine;
-  EXPECT_THROW(RingFabric(engine, small_config(1)), std::invalid_argument);
-  EXPECT_THROW(RingFabric(engine, small_config(0)), std::invalid_argument);
+  EXPECT_THROW(Fabric(engine, small_config(1)), std::invalid_argument);
+  EXPECT_THROW(Fabric(engine, small_config(0)), std::invalid_argument);
 }
 
 TEST(RingFabricTest, PortsAreWiredAsARing) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(4));
+  Fabric ring(engine, small_config(4));
   for (int i = 0; i < 4; ++i) {
     const int j = (i + 1) % 4;
     // host i's right port peers with host j's left port.
@@ -48,7 +48,7 @@ TEST(RingFabricTest, PortsAreWiredAsARing) {
 
 TEST(RingFabricTest, NeighborsAndDistances) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(5));
+  Fabric ring(engine, small_config(5));
   EXPECT_EQ(ring.right_neighbor(4), 0);
   EXPECT_EQ(ring.left_neighbor(0), 4);
   EXPECT_EQ(ring.right_distance(0, 3), 3);
@@ -58,7 +58,7 @@ TEST(RingFabricTest, NeighborsAndDistances) {
 
 TEST(RingFabricTest, RightOnlyRoutingAlwaysGoesRight) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(5));
+  Fabric ring(engine, small_config(5));
   // Even when left would be shorter.
   const Route r = ring.route(0, 4, RoutingMode::kRightOnly);
   EXPECT_EQ(r.dir, Direction::kRight);
@@ -67,7 +67,7 @@ TEST(RingFabricTest, RightOnlyRoutingAlwaysGoesRight) {
 
 TEST(RingFabricTest, ShortestRoutingPicksNearerSideTiesGoRight) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(4));
+  Fabric ring(engine, small_config(4));
   const Route left = ring.route(0, 3, RoutingMode::kShortest);
   EXPECT_EQ(left.dir, Direction::kLeft);
   EXPECT_EQ(left.hops, 1);
@@ -78,7 +78,7 @@ TEST(RingFabricTest, ShortestRoutingPicksNearerSideTiesGoRight) {
 
 TEST(RingFabricTest, ZeroHopRouteForSelf) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(3));
+  Fabric ring(engine, small_config(3));
   EXPECT_EQ(ring.route(1, 1, RoutingMode::kRightOnly).hops, 0);
 }
 
@@ -86,7 +86,7 @@ TEST(RingFabricTest, PerLinkDmaRateSpreadApplied) {
   sim::Engine engine;
   FabricConfig cfg = small_config(3);
   cfg.link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
-  RingFabric ring(engine, cfg);
+  Fabric ring(engine, cfg);
   EXPECT_DOUBLE_EQ(ring.right_port(0).dma_rate(), 3.0e9);
   EXPECT_DOUBLE_EQ(ring.right_port(1).dma_rate(), 2.6e9);
   EXPECT_DOUBLE_EQ(ring.right_port(2).dma_rate(), 2.8e9);
@@ -96,7 +96,7 @@ TEST(RingFabricTest, PerLinkDmaRateSpreadApplied) {
 
 TEST(RingFabricTest, DataMovesBetweenNeighborsThroughWindows) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(3));
+  Fabric ring(engine, small_config(3));
   auto region = ring.host(1).memory().allocate(4096);
   ring.right_port(0).program_window(ntb::kRawWindow, region);
   std::vector<std::byte> data(1024);
@@ -113,7 +113,7 @@ TEST(RingFabricTest, DataMovesBetweenNeighborsThroughWindows) {
 
 TEST(RingFabricTest, FaultInjectionDownsOneLinkOnly) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(3));
+  Fabric ring(engine, small_config(3));
   ring.set_link_up(0, false);
   EXPECT_FALSE(ring.link(0).up());
   EXPECT_TRUE(ring.link(1).up());
@@ -123,7 +123,7 @@ TEST(RingFabricTest, FaultInjectionDownsOneLinkOnly) {
 
 TEST(RingFabricTest, RingOfTwoHasTwoDistinctLinks) {
   sim::Engine engine;
-  RingFabric ring(engine, small_config(2));
+  Fabric ring(engine, small_config(2));
   // host0.right <-> host1.left over link0; host1.right <-> host0.left over
   // link1: a 2-ring is two parallel cables, as with two dual-adapter hosts.
   EXPECT_EQ(&ring.right_port(0).link(), &ring.link(0));

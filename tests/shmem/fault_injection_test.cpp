@@ -112,8 +112,7 @@ TEST(FaultRecovery, LostDataDoorbellIsRetransmitted) {
   const TransportStats& s = rt.host_transport(0).stats();
   EXPECT_GE(s.ack_timeouts, 1u);
   EXPECT_GE(s.retransmits, 1u);
-  const auto& rel =
-      rt.host_transport(0).channel_reliability(fabric::Direction::kRight);
+  const auto& rel = rt.host_transport(0).channel_reliability(/*port=*/0);
   EXPECT_GE(rel.retransmits, 1u);
   EXPECT_GE(rel.acks_matched, 1u);
   EXPECT_GT(rel.ack_latency_ns.count(), 0u);

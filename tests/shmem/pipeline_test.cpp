@@ -149,7 +149,6 @@ TEST(PipelineGolden, TracingOnKeepsWorkloadAGoldenTime) {
   // tracing must not move virtual time by a nanosecond.
   RuntimeOptions opts = pipe_options(3, CompletionMode::kFullDelivery);
   opts.obs.spans_enabled = true;
-  opts.trace_enabled = true;
   Runtime rt(opts);
   const sim::Dur d = rt.run([&] {
     shmem_init();
@@ -177,7 +176,6 @@ TEST(PipelineGolden, TracingOnKeepsAllOnWorkloadBGoldenTime) {
   RuntimeOptions opts =
       pipe_options(5, CompletionMode::kFullDelivery, TransportTuning::all_on(4));
   opts.obs.spans_enabled = true;
-  opts.trace_enabled = true;
   Runtime rt(opts);
   sim::Dur put_quiet = 0;
   const sim::Dur d = rt.run([&] {

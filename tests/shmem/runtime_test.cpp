@@ -148,6 +148,38 @@ TEST(RuntimeTest, IdenticalWorkloadsAreDeterministic) {
   EXPECT_EQ(first, second);
 }
 
+// Tearing a Runtime down while a service daemon is blocked mid-frame: the
+// daemon must unwind while the hub, fabric and transports it touches still
+// exist. PE 0's 2-hop put is still being forwarded when run() returns, so
+// the daemons are killed inside process_frame and close their spans on the
+// way out (a heap-use-after-free under ASan if they outlive the hub).
+TEST(RuntimeTest, TeardownUnwindsServicesBeforeTheirState) {
+  for (const bool spans : {false, true}) {
+    for (const bool causal : {false, true}) {
+      for (const sim::Dur linger : {sim::usec(180), sim::usec(345)}) {
+        RuntimeOptions opts =
+            test_options(3, DataPath::kDma, fabric::RoutingMode::kRightOnly,
+                         CompletionMode::kLocalDma);
+        opts.obs.spans_enabled = spans;
+        opts.obs.causal_enabled = causal;
+        Runtime rt(opts);
+        rt.run([&] {
+          shmem_init();
+          void* buf = shmem_malloc(64 * 1024);
+          if (shmem_my_pe() == 0) {
+            const auto data = testing::pattern(64 * 1024, 0);
+            shmem_putmem(buf, data.data(), data.size(), 2);
+            rt.engine().wait_for(linger);
+          }
+        });
+        EXPECT_FALSE(rt.quiescent())
+            << "the put must still be in flight at teardown (spans=" << spans
+            << " causal=" << causal << " linger=" << linger << ")";
+      }
+    }
+  }
+}
+
 TEST(RuntimeTest, InfoQueries) {
   Runtime rt(test_options(2));
   rt.run([&] {

@@ -1,65 +1,94 @@
-// Protocol-trace assertions: with tracing enabled, the recorded event
-// stream must obey the transport's invariants — barrier starts precede
-// barrier ends on every host and round, every received frame was sent, and
-// tracing stays silent when disabled.
+// Protocol-log assertions over the always-on per-host flight recorders: the
+// logged event stream must obey the transport's invariants — barrier starts
+// precede barrier ends on every host and round, every frame sent on a link
+// is received by its peer, fault recovery leaves an audit trail, and each
+// host's log is in time order.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <vector>
 
+#include "obs/flight.hpp"
+#include "obs/trace.hpp"
 #include "shmem/api.hpp"
 #include "shmem_test_util.hpp"
 
 namespace ntbshmem::shmem {
 namespace {
 
+using obs::FlightCode;
+using obs::FlightRecord;
 using testing::pattern;
 using testing::test_options;
 
-RuntimeOptions traced_options(int npes) {
+// Flight rings large enough that no run below evicts a record, so the
+// assertions see each host's complete log.
+RuntimeOptions logged_options(int npes) {
   RuntimeOptions opts = test_options(npes);
-  opts.trace_enabled = true;
+  opts.obs.flight_capacity = 1u << 16;
   return opts;
 }
 
-TEST(TraceTest, DisabledByDefaultRecordsNothing) {
-  Runtime rt(test_options(2));
-  rt.run([&] {
-    shmem_init();
-    shmem_barrier_all();
-    shmem_finalize();
-  });
-  EXPECT_TRUE(rt.trace().records().empty());
+// Host `host`'s complete log, oldest first (flights register in host order).
+std::vector<FlightRecord> host_log(const Runtime& rt, int host) {
+  const obs::FlightRecorder& rec =
+      *rt.obs().flights.at(static_cast<std::size_t>(host)).second;
+  std::vector<FlightRecord> log = rec.recent();
+  EXPECT_EQ(log.size(), rec.total()) << "host" << host << " log wrapped";
+  return log;
+}
+
+std::vector<FlightRecord> with_code(const std::vector<FlightRecord>& log,
+                                    FlightCode code) {
+  std::vector<FlightRecord> out;
+  for (const FlightRecord& r : log) {
+    if (r.code == static_cast<std::uint16_t>(code)) out.push_back(r);
+  }
+  return out;
+}
+
+// Detail strings of the fault instants on the hub tracer's fault track.
+std::vector<std::string> fault_instants(const Runtime& rt) {
+  const obs::Tracer& tracer = rt.obs().tracer;
+  std::vector<std::string> details;
+  for (const obs::Tracer::Track& track : tracer.tracks()) {
+    if (track.process != "trace" || track.name != "fault") continue;
+    for (const obs::TraceRecord& r : track.records) {
+      details.push_back(tracer.detail(r.detail));
+    }
+  }
+  return details;
 }
 
 TEST(TraceTest, BarrierStartsPrecedeEndsPerHostAndRound) {
-  Runtime rt(traced_options(3));
+  Runtime rt(logged_options(3));
   rt.run([&] {
     shmem_init();
     for (int i = 0; i < 3; ++i) shmem_barrier_all();
     shmem_finalize();
   });
-  // Per PE, the barrier signal stream must alternate start, end, start, ...
-  for (int pe = 0; pe < 3; ++pe) {
-    const std::string tag = "host" + std::to_string(pe) + " rx ";
+  // Per host, the barrier signal stream must alternate start, end, start, ...
+  for (int host = 0; host < 3; ++host) {
     int starts = 0;
     int ends = 0;
-    for (const auto& r : rt.trace().filter("barrier")) {
-      if (r.message == tag + "start") {
-        EXPECT_EQ(starts, ends) << "two starts without an end on PE " << pe;
+    for (const FlightRecord& r :
+         with_code(host_log(rt, host), FlightCode::kBarrierRx)) {
+      if (r.b == 0) {
+        EXPECT_EQ(starts, ends) << "two starts without an end on host " << host;
         ++starts;
-      } else if (r.message == tag + "end") {
-        EXPECT_EQ(starts, ends + 1) << "end without a start on PE " << pe;
+      } else {
+        EXPECT_EQ(starts, ends + 1) << "end without a start on host " << host;
         ++ends;
       }
     }
     EXPECT_EQ(starts, ends);
-    EXPECT_GT(starts, 0) << "host " << pe << " saw no barrier signals";
+    EXPECT_GT(starts, 0) << "host " << host << " saw no barrier signals";
   }
 }
 
 TEST(TraceTest, EveryReceivedFrameWasSentEarlier) {
-  Runtime rt(traced_options(3));
+  Runtime rt(logged_options(3));
   rt.run([&] {
     shmem_init();
     auto* buf = static_cast<std::byte*>(shmem_malloc(8192));
@@ -72,25 +101,41 @@ TEST(TraceTest, EveryReceivedFrameWasSentEarlier) {
     shmem_barrier_all();
     shmem_finalize();
   });
-  EXPECT_GT(rt.trace().count("frame.tx"), 0u);
-  EXPECT_EQ(rt.trace().count("frame.tx"), rt.trace().count("frame.rx"))
-      << "every frame sent is received exactly once";
-  const auto tx = rt.trace().filter("frame.tx");
-  const auto rx = rt.trace().filter("frame.rx");
-  // Conservation by frame kind: the multiset of (kind, origin, target, id)
-  // descriptors must match between tx and rx.
-  auto strip = [](const std::string& msg) {
-    return msg.substr(msg.find("kind="));
-  };
-  std::multiset<std::string> sent;
-  std::multiset<std::string> received;
-  for (const auto& r : tx) sent.insert(strip(r.message));
-  for (const auto& r : rx) received.insert(strip(r.message));
-  EXPECT_EQ(sent, received);
+  // Conservation per link: the frame ids host h sent through port p are
+  // exactly the ids its peer received through the other end of the cable,
+  // and each arrival has a matching emission no later than it.
+  const fabric::Topology& topo = rt.fabric().topology();
+  std::size_t frames = 0;
+  for (int h = 0; h < rt.num_hosts(); ++h) {
+    const auto tx = with_code(host_log(rt, h), FlightCode::kFrameTx);
+    for (int p = 0; p < topo.degree(h); ++p) {
+      const int peer = topo.peer_host(h, p);
+      const int peer_port = topo.peer_port(h, p);
+      std::multiset<std::uint64_t> sent;
+      std::multiset<std::uint64_t> received;
+      for (const FlightRecord& r : tx) {
+        if (r.a == p) sent.insert(r.c);
+      }
+      for (const FlightRecord& r :
+           with_code(host_log(rt, peer), FlightCode::kFrameRx)) {
+        if (r.a != peer_port) continue;
+        received.insert(r.c);
+        bool sent_earlier = false;
+        for (const FlightRecord& s : tx) {
+          sent_earlier |= s.a == p && s.c == r.c && s.t <= r.t;
+        }
+        EXPECT_TRUE(sent_earlier) << "host" << peer << " received frame "
+                                  << r.c << " before host" << h << " sent it";
+      }
+      EXPECT_EQ(sent, received) << "link host" << h << " port " << p;
+      frames += sent.size();
+    }
+  }
+  EXPECT_GT(frames, 0u);
 }
 
 TEST(TraceTest, OpsAreRecordedWithSizes) {
-  Runtime rt(traced_options(2));
+  Runtime rt(logged_options(2));
   rt.run([&] {
     shmem_init();
     auto* buf = static_cast<std::byte*>(shmem_malloc(1024));
@@ -102,21 +147,21 @@ TEST(TraceTest, OpsAreRecordedWithSizes) {
     shmem_finalize();
   });
   bool found = false;
-  for (const auto& r : rt.trace().filter("op")) {
-    if (r.message == "pe0 put target=1 bytes=512") found = true;
+  for (const FlightRecord& r : with_code(host_log(rt, 0), FlightCode::kPut)) {
+    if (r.a == 1 && r.b == 512) found = true;  // target PE 1, 512 bytes
   }
   EXPECT_TRUE(found);
 }
 
 TEST(TraceTest, FaultAndRetryEventsAreCategorized) {
   // A lost data doorbell under the reliable tuning must leave an audit
-  // trail: the injection under "fault", the timeout + retransmit under
-  // "retry", and a clean run records neither.
-  RuntimeOptions opts = traced_options(3);
+  // trail: the injection in the fault plan's stats and on the exported
+  // timeline, the timeout + retransmit in host 0's log, and a clean run
+  // records none of them.
+  RuntimeOptions opts = logged_options(3);
   opts.tuning = TransportTuning::reliable(TransportTuning{});
-  Runtime rt(opts);
-  rt.faults().arm_one_shot(sim::FaultPlan::Site::kDoorbell, "host0.right:0");
-  rt.run([&] {
+  opts.obs.spans_enabled = true;
+  auto workload = [] {
     shmem_init();
     auto* buf = static_cast<std::byte*>(shmem_malloc(4096));
     const auto data = pattern(4096, 4);
@@ -127,32 +172,45 @@ TEST(TraceTest, FaultAndRetryEventsAreCategorized) {
     }
     shmem_barrier_all();
     shmem_finalize();
-  });
-  EXPECT_EQ(rt.trace().count("fault"), 1u);
-  EXPECT_GE(rt.trace().count("retry"), 2u)  // timeout note + retransmit note
-      << "recovery actions must be traced under the retry category";
+  };
+  Runtime rt(opts);
+  rt.faults().arm_one_shot(sim::FaultPlan::Site::kDoorbell, "host0.right:0");
+  rt.run(workload);
+  EXPECT_EQ(rt.faults().stats().doorbells_dropped, 1u);
+  EXPECT_EQ(rt.faults().stats().total(), 1u);
+  EXPECT_EQ(fault_instants(rt),
+            std::vector<std::string>{"doorbell drop host0.right:0"});
+  const auto log = host_log(rt, 0);
+  EXPECT_GE(with_code(log, FlightCode::kAckTimeout).size(), 1u);
+  EXPECT_GE(with_code(log, FlightCode::kRetransmit).size(), 1u)
+      << "recovery actions must be logged on the sender";
 
   Runtime clean(opts);
-  clean.run([&] {
-    shmem_init();
-    shmem_barrier_all();
-    shmem_finalize();
-  });
-  EXPECT_EQ(clean.trace().count("fault"), 0u);
-  EXPECT_EQ(clean.trace().count("retry"), 0u);
+  clean.run(workload);
+  EXPECT_EQ(clean.faults().stats().total(), 0u);
+  EXPECT_TRUE(fault_instants(clean).empty());
+  for (int host = 0; host < clean.num_hosts(); ++host) {
+    const auto clean_log = host_log(clean, host);
+    EXPECT_TRUE(with_code(clean_log, FlightCode::kAckTimeout).empty());
+    EXPECT_TRUE(with_code(clean_log, FlightCode::kRetransmit).empty());
+  }
 }
 
 TEST(TraceTest, TimestampsAreMonotonic) {
-  Runtime rt(traced_options(3));
+  Runtime rt(logged_options(3));
   rt.run([&] {
     shmem_init();
     shmem_barrier_all();
     shmem_finalize();
   });
-  sim::Time last = 0;
-  for (const auto& r : rt.trace().records()) {
-    EXPECT_GE(r.t, last);
-    last = r.t;
+  for (int host = 0; host < rt.num_hosts(); ++host) {
+    const auto log = host_log(rt, host);
+    EXPECT_FALSE(log.empty());
+    sim::Time last = 0;
+    for (const FlightRecord& r : log) {
+      EXPECT_GE(r.t, last) << "host " << host;
+      last = r.t;
+    }
   }
 }
 

@@ -1,14 +1,15 @@
 // FaultPlan unit tests: stream determinism, (site, key) independence,
-// zero-probability neutrality, one-shot arming, stats accounting and trace
-// notes. These are the invariants the end-to-end golden-time and fuzz
-// harnesses rely on (same seed => same schedule; zero spec => exactly free).
+// zero-probability neutrality, one-shot arming, stats accounting and the
+// fault instants recorded on a bound tracer. These are the invariants the
+// end-to-end golden-time and fuzz harnesses rely on (same seed => same
+// schedule; zero spec => exactly free).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace ntbshmem::sim {
 namespace {
@@ -185,19 +186,30 @@ TEST(FaultPlanTest, SpecAnyReflectsConfiguration) {
 }
 
 TEST(FaultPlanTest, InjectionsAreTracedUnderFaultCategory) {
-  TraceRecorder trace;
-  trace.set_enabled(true);
+  obs::Tracer tracer;
   FaultPlan plan(29, FaultSpec{});
-  plan.bind_trace(&trace);
+  plan.bind_tracer(&tracer);
+  plan.arm_one_shot(FaultPlan::Site::kDoorbell, "host0.right:0");
+  plan.drop_doorbell(1, "host0.right", 0);  // tracer disabled: not recorded
+  EXPECT_EQ(tracer.total_records(), 0u);
+
+  tracer.set_enabled(true);
   plan.arm_one_shot(FaultPlan::Site::kDoorbell, "host0.right:0");
   plan.arm_one_shot(FaultPlan::Site::kIrq, "host1");
   plan.drop_doorbell(5, "host0.right", 0);
   plan.irq_delivery_delay(6, "host1", 3);
-  EXPECT_EQ(trace.count("fault"), 2u);
-  const auto recs = trace.filter("fault");
-  EXPECT_EQ(recs[0].message, "doorbell drop host0.right:0");
-  EXPECT_EQ(recs[0].t, 5);
-  EXPECT_EQ(recs[1].message, "irq delay host1 vec3");
+  ASSERT_EQ(tracer.tracks().size(), 1u);
+  const obs::Tracer::Track& track = tracer.tracks()[0];
+  EXPECT_EQ(track.process, "trace");
+  EXPECT_EQ(track.name, "fault");
+  ASSERT_EQ(track.records.size(), 2u);
+  const obs::TraceRecord& drop = track.records[0];
+  EXPECT_EQ(drop.kind, obs::RecordKind::kInstant);
+  EXPECT_EQ(tracer.categories().name(drop.category), "fault");
+  EXPECT_EQ(drop.t, 5);
+  EXPECT_EQ(tracer.detail(drop.detail), "doorbell drop host0.right:0");
+  EXPECT_EQ(track.records[1].t, 6);
+  EXPECT_EQ(tracer.detail(track.records[1].detail), "irq delay host1 vec3");
 }
 
 }  // namespace

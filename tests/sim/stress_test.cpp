@@ -189,7 +189,7 @@ TEST(StressTest, RunawayRecursionFaultsOnGuardPage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Engine engine(EngineBackend::kFibers);
+        Engine engine;
         engine.spawn("deep", [] { deep_recursion(1 << 20); });
         engine.run();
       },
@@ -200,7 +200,7 @@ TEST(StressTest, RunawayRecursionFaultsOnGuardPage) {
 // the knob is read at Engine construction.
 TEST(StressTest, FiberStackSizeEnvFixesDeepRecursion) {
   setenv("NTBSHMEM_FIBER_STACK_KiB", "8192", 1);
-  Engine engine(EngineBackend::kFibers);
+  Engine engine;
   unsetenv("NTBSHMEM_FIBER_STACK_KiB");
   ASSERT_EQ(engine.fiber_stack_bytes(), 8192u * 1024u);
   int reached = 0;
@@ -242,39 +242,6 @@ TEST(StressTest, RerunWithPersistentDaemonsKeepsDigest) {
   Engine b;
   EXPECT_EQ(drive(a), drive(b));
   EXPECT_GT(a.schedule_digest().count(), 0u);
-}
-
-// The two process backends must produce bit-identical schedules — the
-// digest covers (time, seq, kind) of every dispatch.
-TEST(StressTest, FiberAndThreadBackendsProduceIdenticalDigests) {
-  auto run_digest = [](EngineBackend backend) {
-    Engine engine(backend);
-    engine.enable_schedule_digest();
-    Resource slots(engine, "slots", 2);
-    Event gate(engine, "gate");
-    int opened = 0;
-    for (int p = 0; p < 24; ++p) {
-      engine.spawn("p" + std::to_string(p), [&, p] {
-        engine.call_after(nsec(50 + p), [] {});
-        engine.wait_for(usec(p % 5 + 1));
-        Resource::Guard guard(slots);
-        engine.wait_for(usec(2));
-        if (p == 11) {
-          gate.notify_all();
-          opened = 1;
-        } else if (p % 7 == 0 && opened == 0) {
-          gate.wait();
-        }
-      });
-    }
-    engine.run();
-    return std::pair<std::uint64_t, std::uint64_t>(
-        engine.schedule_digest().value(), engine.schedule_digest().count());
-  };
-  const auto fibers = run_digest(EngineBackend::kFibers);
-  const auto threads = run_digest(EngineBackend::kThreads);
-  EXPECT_EQ(fibers, threads);
-  EXPECT_GT(fibers.second, 0u);
 }
 
 }  // namespace

@@ -17,6 +17,19 @@
 #include "sim/fault.hpp"
 #include "sim/time.hpp"
 
+namespace ntbshmem::shmem {
+
+// The one caller allowed to arm Transport's planted ack-before-write bug:
+// --seed-bug, the checker's self-check, which it must refute.
+class TransportTestPeer {
+ public:
+  static void plant_ack_before_write(Transport& t) {
+    t.bug_ack_before_write_ = true;
+  }
+};
+
+}  // namespace ntbshmem::shmem
+
 namespace ntbshmem::mck {
 
 namespace {
@@ -152,13 +165,16 @@ sim::PathOutcome run_one_path(const CheckOptions& opts, sim::ScriptedHook& hook,
                               std::uint64_t* digest_out,
                               std::uint64_t* dispatches_out) {
   shmem::RuntimeOptions options = make_config(opts.config);
-  options.tuning.bug_ack_before_write = opts.seed_bug;
   if (audited) {
-    options.trace_enabled = true;
     options.obs.causal_enabled = true;
     options.schedule_digest = true;
   }
   shmem::Runtime rt(options);
+  if (opts.seed_bug) {
+    for (int h = 0; h < rt.num_hosts(); ++h) {
+      shmem::TransportTestPeer::plant_ack_before_write(rt.host_transport(h));
+    }
+  }
   hook.begin_path(
       std::move(prefix),
       [&rt] {

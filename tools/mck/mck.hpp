@@ -55,9 +55,9 @@ std::uint32_t parse_fault_sites(const std::string& csv);
 struct CheckOptions {
   std::string model = "put_barrier";
   std::string config = "paper2";
-  // Arms the planted ack-before-write mutation (TransportTuning::
-  // bug_ack_before_write) — the checker's own acceptance gate: mck must
-  // find it and must find nothing without it.
+  // Arms the planted ack-before-write mutation on every host transport
+  // (TransportTestPeer in mck.cpp) — the checker's own acceptance gate: mck
+  // must find it and must find nothing without it.
   bool seed_bug = false;
   // Upper bound on faults fired per path; 0 disables fault branch points
   // entirely (pure dispatch-interleaving search).
