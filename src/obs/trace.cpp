@@ -29,12 +29,7 @@ void Tracer::instant_detail(TrackId track, CategoryId cat, EventId ev,
 }
 
 void Tracer::push(TrackId track, TraceRecord rec) {
-  auto& tr = tracks_.at(static_cast<std::size_t>(track));
-  if (ring_capacity_ != 0 && tr.records.size() >= ring_capacity_) {
-    tr.records.pop_front();
-    ++tr.dropped;
-  }
-  tr.records.push_back(rec);
+  tracks_.at(static_cast<std::size_t>(track)).records.push_back(rec);
 }
 
 std::size_t Tracer::total_records() const {
@@ -44,10 +39,7 @@ std::size_t Tracer::total_records() const {
 }
 
 void Tracer::clear() {
-  for (auto& tr : tracks_) {
-    tr.records.clear();
-    tr.dropped = 0;
-  }
+  for (auto& tr : tracks_) tr.records.clear();
   details_.clear();
   next_async_id_ = 1;
 }

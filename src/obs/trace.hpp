@@ -4,8 +4,7 @@
 // spans and counter samples onto named *tracks* — one track per host
 // service thread, NTB port or link — using interned CategoryId/EventId
 // integers instead of per-record strings. Records land in per-track
-// append-only buffers; an optional bounded-memory ring mode keeps only the
-// newest N records per track (long soak runs).
+// append-only buffers.
 //
 // Cost model: every record method first checks enabled() and returns
 // immediately when tracing is off (the null-recorder pattern). Recording
@@ -57,11 +56,6 @@ class Tracer {
  public:
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
-
-  // Bounded-memory mode: keep at most `per_track` records per track,
-  // evicting the oldest (0 = unbounded append-only buffers).
-  void set_ring_capacity(std::size_t per_track) { ring_capacity_ = per_track; }
-  std::size_t ring_capacity() const { return ring_capacity_; }
 
   // ---- Interning (do this once, not per record) ----------------------------
   CategoryId category(std::string_view name) {
@@ -132,7 +126,6 @@ class Tracer {
     std::string process;
     std::string name;
     std::deque<TraceRecord> records;  // time order (sim time is monotonic)
-    std::uint64_t dropped = 0;        // evicted by ring mode
   };
 
   const std::vector<Track>& tracks() const { return tracks_; }
@@ -151,7 +144,6 @@ class Tracer {
   void push(TrackId track, TraceRecord rec);
 
   bool enabled_ = false;
-  std::size_t ring_capacity_ = 0;
   std::uint64_t next_async_id_ = 1;
   std::vector<Track> tracks_;
   Interner track_keys_;  // "process\x1fname" -> TrackId

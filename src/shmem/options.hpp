@@ -113,9 +113,6 @@ struct TransportTuning {
 // span/instant/counter-sample *recording* happens only when spans_enabled.
 struct ObsOptions {
   bool spans_enabled = false;
-  // Per-track record cap for long soak runs (oldest records evicted,
-  // tracked per track as `dropped`); 0 keeps every record.
-  std::size_t ring_capacity = 0;
   // Causal cross-hop tracing (obs::CausalRecorder): op-rooted span trees
   // linked across hosts/ports/retransmits, exported by
   // Runtime::write_causal_trace as ntbshmem-trace-v1 and as Perfetto flow
@@ -125,9 +122,6 @@ struct ObsOptions {
   // Per-host flight-recorder ring size (always on; rounded up to a power
   // of two). 0 picks the 512-record default.
   std::size_t flight_capacity = 512;
-  // Per-link utilization sampling window for the busy-ns counter series
-  // (active while spans or causal recording are enabled; 0 disables).
-  sim::Dur link_util_window = 1'000'000;  // 1 ms
 };
 
 struct RuntimeOptions {

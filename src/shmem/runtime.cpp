@@ -270,6 +270,11 @@ void Context::mark_finalized() { initialized_ = false; }
 
 // ---- Runtime --------------------------------------------------------------------
 
+namespace {
+// Sampling window of each link's busy-ns utilization series.
+constexpr sim::Dur kLinkUtilWindow = 1'000'000;  // 1 ms
+}  // namespace
+
 Runtime::Runtime(const RuntimeOptions& options)
     : options_(options), backend_kind_(backend::resolve(options.backend)) {
   if (options_.pes_per_host < 1) {
@@ -305,7 +310,6 @@ Runtime::Runtime(const RuntimeOptions& options)
   // pointer-deref adds and never touch the engine, so golden times are
   // unaffected); span recording is gated separately by ObsOptions.
   obs_.tracer.set_enabled(options_.obs.spans_enabled);
-  obs_.tracer.set_ring_capacity(options_.obs.ring_capacity);
   obs_.causal.set_enabled(options_.obs.causal_enabled);
   engine_.attach_obs(&obs_);
   // The fault plan is always attached: an all-zero spec short-circuits at
@@ -354,10 +358,9 @@ Runtime::Runtime(const RuntimeOptions& options)
     // and the trace artifact's tracecheck oracle. Pure arithmetic inside the
     // link accounting — never touches the engine — but only armed when some
     // recording is on, so benchmark runs allocate nothing.
-    if ((options_.obs.spans_enabled || options_.obs.causal_enabled) &&
-        options_.obs.link_util_window > 0) {
+    if (options_.obs.spans_enabled || options_.obs.causal_enabled) {
       for (int i = 0; i < fabric_->num_links(); ++i) {
-        fabric_->link(i).set_util_window(options_.obs.link_util_window);
+        fabric_->link(i).set_util_window(kLinkUtilWindow);
       }
     }
     for (const sim::LinkFlap& flap : fault_plan_->spec().link_flaps) {

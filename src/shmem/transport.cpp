@@ -19,49 +19,111 @@ std::uint64_t reassembly_key(std::uint8_t origin, std::uint32_t id) {
   return (static_cast<std::uint64_t>(origin) << 32) | id;
 }
 
-// RAII span on an obs track: begin at construction, end at destruction,
-// both stamped at the engine's then-current sim time. Recording is a no-op
-// when `tracer` is null (no hub) or tracing is disabled.
-class ObsSpan {
- public:
-  ObsSpan(obs::Tracer* tracer, sim::Engine& engine, obs::TrackId track,
-          obs::CategoryId cat, obs::EventId ev)
-      : tracer_(tracer), engine_(engine), track_(track), cat_(cat), ev_(ev) {
-    if (tracer_ != nullptr) tracer_->begin(track_, cat_, ev_, engine_.now());
-  }
-  ~ObsSpan() {
-    if (tracer_ != nullptr) tracer_->end(track_, cat_, ev_, engine_.now());
-  }
-  ObsSpan(const ObsSpan&) = delete;
-  ObsSpan& operator=(const ObsSpan&) = delete;
-
- private:
-  obs::Tracer* tracer_;
-  sim::Engine& engine_;
-  obs::TrackId track_;
-  obs::CategoryId cat_;
-  obs::EventId ev_;
-};
-
-// RAII close of a causal span at scope exit (covers every early return of
-// an operation). Id 0 / null recorder is the disabled no-op.
-class CausalScope {
- public:
-  CausalScope(obs::CausalRecorder* rec, sim::Engine& engine, std::uint64_t id)
-      : rec_(rec), engine_(engine), id_(id) {}
-  ~CausalScope() {
-    if (id_ != 0 && rec_ != nullptr) rec_->end(id_, engine_.now());
-  }
-  CausalScope(const CausalScope&) = delete;
-  CausalScope& operator=(const CausalScope&) = delete;
-
- private:
-  obs::CausalRecorder* rec_;
-  sim::Engine& engine_;
-  std::uint64_t id_;
-};
-
 }  // namespace
+
+// One instrumented step of the calling simulated process (DESIGN.md §4h).
+// It opens the step's Tracer slice, causal span and Perfetto flow record
+// together and closes them when it goes out of scope, early returns
+// included. A step that causes further work (an op root, an rx service, a
+// forward leg) also installs its span as the process's current cause and
+// restores the previous cause on exit, ProcessKilled unwinding included; a
+// leaf step (dma, copy, retransmit) records under the current cause
+// without becoming it. Every part is a no-op while its recorder is off.
+class Transport::Step {
+ public:
+  // Root of an operation issued by resident PE `pe`: a slice on the PE's
+  // track, the causal root of op `family`, and the flow start that every
+  // rx slice of the trace steps to.
+  static Step op(Transport& t, int pe, obs::CategoryId cat, obs::EventId ev,
+                 std::uint64_t family, std::uint64_t bytes) {
+    return Step(t, Slice{t.tracer_, t.pe_track(pe), cat, ev}, Role::kRoot,
+                {}, obs::SpanKind::kOp, -1, family, bytes);
+  }
+  // Receive service of a frame that arrived through port `from`, under the
+  // frame's wire context: a slice on the port's rx track, a service span,
+  // and a flow step linking the slice back to the op.
+  static Step service(Transport& t, int from) {
+    const obs::TrackId track =
+        t.rx_tracks_.empty() ? obs::TrackId{0}
+                             : t.rx_tracks_[static_cast<std::size_t>(from)];
+    return Step(t, Slice{t.tracer_, track, t.cat_frame_, t.ev_process_frame_},
+                Role::kCause, t.current_cause(), obs::SpanKind::kService, from,
+                0, 0);
+  }
+  // Forward leg of an outbound item, under the context it was queued with.
+  static Step forward(Transport& t, const OutboundItem& item) {
+    return Step(t, {}, Role::kCause, item.ctx, obs::SpanKind::kForward,
+                item.port, static_cast<std::uint64_t>(item.kind),
+                item.message.size());
+  }
+  // Leaf span under the current cause.
+  static Step leaf(Transport& t, obs::SpanKind kind, int port,
+                   std::uint64_t a = 0, std::uint64_t b = 0) {
+    return Step(t, {}, Role::kLeaf, t.current_cause(), kind, port, a, b);
+  }
+  // Runs the rest of the scope under an existing span: a frame's wire
+  // context, a message header's context, an in-flight frame re-staged.
+  static Step under(Transport& t, std::uint64_t span) { return Step(t, span); }
+
+  Step(const Step&) = delete;
+  Step& operator=(const Step&) = delete;
+  ~Step() {
+    if (process_ != nullptr) process_->set_cause(prev_cause_);
+    const sim::Time now = t_.runtime_.engine().now();
+    if (span_ != 0) t_.causal_->end(span_, now);
+    if (slice_.tracer != nullptr) {
+      slice_.tracer->end(slice_.track, slice_.cat, slice_.ev, now);
+    }
+  }
+
+ private:
+  struct Slice {
+    obs::Tracer* tracer = nullptr;  // null: no slice
+    obs::TrackId track = 0;
+    obs::CategoryId cat = 0;
+    obs::EventId ev = 0;
+  };
+  enum class Role : std::uint8_t { kRoot, kCause, kLeaf };
+
+  Step(Transport& t, Slice slice, Role role, const obs::TraceCtx& cause,
+       obs::SpanKind kind, int port, std::uint64_t a, std::uint64_t b)
+      : t_(t), slice_(slice) {
+    const sim::Time now = t.runtime_.engine().now();
+    if (slice_.tracer != nullptr) {
+      slice_.tracer->begin(slice_.track, slice_.cat, slice_.ev, now);
+    }
+    if (!t.causal_on()) return;
+    span_ = role == Role::kRoot
+                ? t.causal_->begin_root(kind, t.host_id_, now, a, b)
+                : t.causal_->begin(cause, kind, t.host_id_, port, now, a, b);
+    if (span_ != 0 && slice_.tracer != nullptr) {
+      const std::uint64_t trace = t.causal_->ctx_of(span_).trace_id;
+      if (role == Role::kRoot) {
+        slice_.tracer->flow_start(slice_.track, slice_.cat, slice_.ev, now,
+                                  trace);
+      } else {
+        slice_.tracer->flow_step(slice_.track, slice_.cat, slice_.ev, now,
+                                 trace);
+      }
+    }
+    if (role != Role::kLeaf) install(span_);
+  }
+  Step(Transport& t, std::uint64_t span) : t_(t) {
+    if (t.causal_on()) install(span);
+  }
+  void install(std::uint64_t span) {
+    process_ = t_.runtime_.engine().current();
+    if (process_ == nullptr) return;
+    prev_cause_ = process_->cause();
+    process_->set_cause(span);
+  }
+
+  Transport& t_;
+  Slice slice_;
+  std::uint64_t span_ = 0;           // owned causal span, closed on exit
+  sim::Process* process_ = nullptr;  // set when this step installed a cause
+  std::uint64_t prev_cause_ = 0;
+};
 
 Transport::Transport(Runtime& runtime, int host_id)
     : runtime_(runtime),
@@ -192,24 +254,20 @@ void Transport::end_frame_span(int p, const TxChannel::InFlight& rec) {
   // The retiring ack also closes the frame's causal span — a kFrame left
   // open in the export is precisely "a doorbell with no matching ack"
   // (tracecheck invariant).
-  end_causal(rec.causal_id);
+  if (rec.causal_id != 0) causal_->end(rec.causal_id, runtime_.engine().now());
 }
 
-std::uint64_t Transport::begin_op_root(std::uint8_t family,
-                                       std::uint64_t bytes) {
-  if (!causal_on()) return 0;
-  return causal_->begin_root(obs::SpanKind::kOp, host_id_,
-                             runtime_.engine().now(), family, bytes);
+obs::TraceCtx Transport::current_cause() const {
+  if (!causal_on()) return {};
+  const sim::Process* p = runtime_.engine().current();
+  return p == nullptr ? obs::TraceCtx{} : causal_->ctx_of(p->cause());
 }
 
-obs::TraceCtx Transport::ctx_of(std::uint64_t id) const {
-  return causal_ == nullptr ? obs::TraceCtx{} : causal_->ctx_of(id);
-}
-
-void Transport::end_causal(std::uint64_t id) {
-  if (id != 0 && causal_ != nullptr) {
-    causal_->end(id, runtime_.engine().now());
-  }
+void Transport::record_leaf(obs::SpanKind kind, int port, sim::Time t0,
+                            std::uint64_t a, std::uint64_t b) {
+  if (!causal_on()) return;
+  causal_->end(causal_->begin(current_cause(), kind, host_id_, port, t0, a, b),
+               runtime_.engine().now());
 }
 
 int Transport::pes_per_host() const {
@@ -452,7 +510,7 @@ void Transport::note_delivery_completed_op(std::uint32_t op_id) {
 
 // ---- send-side primitives ----------------------------------------------------
 
-int Transport::acquire_send_credit(int p, const obs::TraceCtx& cause) {
+int Transport::acquire_send_credit(int p) {
   TxChannel& ch = channel(p);
   const sim::Time t0 = runtime_.engine().now();
   ch.slot.acquire();
@@ -464,14 +522,10 @@ int Transport::acquire_send_credit(int p, const obs::TraceCtx& cause) {
     flight_.log(runtime_.engine().now(), obs::FlightCode::kCreditStall,
                 static_cast<std::uint16_t>(p), 0,
                 static_cast<std::uint64_t>(stalled));
-    if (causal_on() && cause.valid()) {
-      // Closed span covering the stall: critical-path extraction attributes
-      // the wait to flow control, not to whatever emitted next.
-      const std::uint64_t s =
-          causal_->begin(cause, obs::SpanKind::kCreditStall, host_id_, p, t0,
-                         0, static_cast<std::uint64_t>(stalled));
-      causal_->end(s, runtime_.engine().now());
-    }
+    // Closed span covering the stall: critical-path extraction attributes
+    // the wait to flow control, not to whatever emitted next.
+    record_leaf(obs::SpanKind::kCreditStall, p, t0, 0,
+                static_cast<std::uint64_t>(stalled));
   }
   // Invariant: slots are returned before credits are released (on_ack), so
   // a granted credit always finds a free slot; no yield between the two.
@@ -483,8 +537,7 @@ int Transport::acquire_send_credit(int p, const obs::TraceCtx& cause) {
 void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
                                     int doorbell, int slot,
                                     bool counts_as_delivery,
-                                    int delivery_domain,
-                                    const obs::TraceCtx& cause) {
+                                    int delivery_domain) {
   TxChannel& ch = channel(p);
   // Serialize header staging between concurrent credit holders (the PE
   // thread and the TX service can emit on the same channel); the record
@@ -511,13 +564,13 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
                          cat_frame_, ev_frame_, runtime_.engine().now(),
                          rec.obs_span);
   }
-  if (causal_on() && cause.valid()) {
+  if (causal_on()) {
     // Causal frame span: open at emission, closed by the retiring ack. The
     // wire context names THIS span as parent and is re-staged verbatim on
     // every retransmit, so the receiver links to the same node no matter
     // which emission attempt delivered.
     rec.causal_id =
-        causal_->begin(cause, obs::SpanKind::kFrame, host_id_, p,
+        causal_->begin(current_cause(), obs::SpanKind::kFrame, host_id_, p,
                        runtime_.engine().now(), rec.seq,
                        static_cast<std::uint64_t>(doorbell));
     rec.wire_ctx = causal_->ctx_of(rec.causal_id);
@@ -645,22 +698,19 @@ void Transport::retransmit(int p, std::uint8_t seq) {
   // may retire the record while the register writes drain.
   const FrameHeader hdr = rec->hdr;
   const int doorbell = rec->doorbell;
-  // Causal: the retransmit is a child of the ORIGINAL frame span (the wire
-  // context's parent), and the same context is re-staged so the receiver's
-  // spans link to the original frame no matter which attempt delivered.
+  // Causal: the retransmit is a child of the ORIGINAL frame span, and that
+  // span's wire context is re-staged so the receiver's spans link to the
+  // original frame no matter which attempt delivered.
   const obs::TraceCtx wire = rec->wire_ctx;
-  std::uint64_t rspan = 0;
-  if (rec->causal_id != 0) {
-    rspan = causal_->begin(wire, obs::SpanKind::kRetransmit, host_id_, p,
-                           runtime_.engine().now(), seq,
-                           static_cast<std::uint64_t>(rec->retries));
-  }
+  const Step frame = Step::under(*this, rec->causal_id);
+  const Step retx =
+      Step::leaf(*this, obs::SpanKind::kRetransmit, p, seq,
+                 static_cast<std::uint64_t>(rec->retries));
   ch.emit_serial.acquire();
   write_frame_regs(p, hdr);
   if (wire.valid()) port(p).stage_tx_ctx(wire);
   port(p).ring_doorbell(doorbell);
   ch.emit_serial.release();
-  end_causal(rspan);
   if (TxChannel::InFlight* still = find_inflight(ch, seq)) {
     arm_retx_timer(p, *still);
   }
@@ -668,15 +718,10 @@ void Transport::retransmit(int p, std::uint8_t seq) {
 
 void Transport::window_write(int p, int window, host::Region region,
                              std::uint64_t off, std::span<const std::byte> src,
-                             bool app_context, const obs::TraceCtx& cause) {
+                             bool app_context) {
   sim::Engine& engine = runtime_.engine();
   ntb::NtbPort& out = port(p);
-  std::uint64_t dma_span = 0;
-  if (causal_on() && cause.valid()) {
-    dma_span = causal_->begin(cause, obs::SpanKind::kDma, host_id_, p,
-                              engine.now(), src.size());
-  }
-  CausalScope dma_scope(causal_, engine, dma_span);
+  const Step dma = Step::leaf(*this, obs::SpanKind::kDma, p, src.size());
   const std::uint64_t seg = timing().lut_segment_bytes;
   const bool overlap = app_context && tuning().overlap_segment_setup;
   const bool use_dma = runtime_.options().data_path == DataPath::kDma;
@@ -749,28 +794,31 @@ void Transport::window_write(int p, int window, host::Region region,
 }
 
 std::vector<std::byte> Transport::build_message(
-    const MessageHeader& header, std::span<const std::byte> payload,
-    const obs::TraceCtx& ctx) {
-  MessageHeader h = header;
-  if (ctx.valid()) {
-    // Causal context travels in the header's (formerly zero) padding, so
-    // the logical-message link survives chunking, reassembly and
-    // forwarding; the disabled path writes the same zero bytes as ever.
-    h.trace_id = ctx.trace_id;
-    h.parent_span = ctx.parent;
-    h.hop = ctx.hop;
-  }
+    const MessageHeader& header, std::span<const std::byte> payload) {
   std::vector<std::byte> msg(kMessageHeaderBytes + payload.size());
-  write_message_header(msg, h);
+  write_message_header(msg, header);
   if (!payload.empty()) {
     std::memcpy(msg.data() + kMessageHeaderBytes, payload.data(),
                 payload.size());
   }
+  stamp_cause(msg);
   return msg;
 }
 
-void Transport::send_message_staged(int p, std::span<const std::byte> message,
-                                    const obs::TraceCtx& cause) {
+void Transport::stamp_cause(std::span<std::byte> message) const {
+  // Without a cause the header is left as it is, so with recording off its
+  // causal fields stay zero.
+  const obs::TraceCtx c = current_cause();
+  if (!c.valid()) return;
+  MessageHeader h = read_message_header(message);
+  h.trace_id = c.trace_id;
+  h.parent_span = c.parent;
+  h.hop = c.hop;
+  write_message_header(message, h);
+}
+
+void Transport::send_message_staged(int p,
+                                    std::span<const std::byte> message) {
   const int next = peer_host(p);
   // The receiver's staging buffer for traffic arriving through its end of
   // this link.
@@ -780,7 +828,7 @@ void Transport::send_message_staged(int p, std::span<const std::byte> message,
   if (message.size() > ch.slot_bytes) {
     throw std::logic_error("staged message exceeds bypass staging slot");
   }
-  const int slot = acquire_send_credit(p, cause);
+  const int slot = acquire_send_credit(p);
   const std::uint64_t slot_off =
       static_cast<std::uint64_t>(slot) * ch.slot_bytes;
   // The 64-byte message header goes through the head of the pre-mapped
@@ -794,8 +842,7 @@ void Transport::send_message_staged(int p, std::span<const std::byte> message,
                   message.subspan(0, kMessageHeaderBytes));
   }
   window_write(p, ntb::kBypassWindow, staging, slot_off + kMessageHeaderBytes,
-               message.subspan(kMessageHeaderBytes), /*app_context=*/true,
-               cause);
+               message.subspan(kMessageHeaderBytes), /*app_context=*/true);
   const MessageHeader mh = read_message_header(message);
   FrameHeader f;
   f.kind = FrameKind::kStaged;
@@ -804,15 +851,14 @@ void Transport::send_message_staged(int p, std::span<const std::byte> message,
   f.id = next_msg_id_++;
   f.c = static_cast<std::uint32_t>(message.size());
   f.d = static_cast<std::uint32_t>(slot_off);  // staging slot offset
-  emit_frame_inflight(p, f, kDbDmaPut, slot, /*counts_as_delivery=*/false, 0,
-                      cause);
+  emit_frame_inflight(p, f, kDbDmaPut, slot, /*counts_as_delivery=*/false, 0);
   // The credit is released by the receiver's ACK doorbell; the call is
   // locally complete once the doorbell is rung (one-sided Put semantics).
 }
 
 void Transport::send_chunk(int p, std::span<const std::byte> payload,
                            std::uint32_t msg_id, std::uint64_t off,
-                           std::uint32_t total, const obs::TraceCtx& cause) {
+                           std::uint32_t total) {
   const int next = peer_host(p);
   const host::Region staging =
       runtime_.host_transport(next).staging_in(peer_port(p));
@@ -821,11 +867,11 @@ void Transport::send_chunk(int p, std::span<const std::byte> payload,
   // the chunk in the credit's staging slot, notify. The ACK returns the
   // credit; with tx_credits > 1 the next chunk's staging overlaps this
   // chunk's in-flight ACK instead of ping-ponging with it.
-  const int slot = acquire_send_credit(p, cause);
+  const int slot = acquire_send_credit(p);
   const std::uint64_t slot_off =
       static_cast<std::uint64_t>(slot) * ch.slot_bytes;
   window_write(p, ntb::kBypassWindow, staging, slot_off, payload,
-               /*app_context=*/false, cause);
+               /*app_context=*/false);
   FrameHeader f;
   f.kind = FrameKind::kChunk;
   f.origin_pe = static_cast<std::uint8_t>(leader_pe());  // link-level id
@@ -834,25 +880,27 @@ void Transport::send_chunk(int p, std::span<const std::byte> payload,
   f.b = static_cast<std::uint32_t>(payload.size());  // chunk size
   f.c = total;                                    // total message size
   f.d = static_cast<std::uint32_t>(slot_off);     // staging slot offset
-  emit_frame_inflight(p, f, kDbDmaPut, slot, /*counts_as_delivery=*/false, 0,
-                      cause);
+  emit_frame_inflight(p, f, kDbDmaPut, slot, /*counts_as_delivery=*/false, 0);
 }
 
 void Transport::send_message_chunked(int p,
-                                     std::span<const std::byte> message,
-                                     const obs::TraceCtx& cause) {
+                                     std::span<const std::byte> message) {
   const std::uint64_t chunk = timing().bypass_chunk_bytes;
   const std::uint32_t msg_id = next_msg_id_++;
   const auto total = static_cast<std::uint32_t>(message.size());
   std::uint64_t off = 0;
   while (off < message.size()) {
     const std::uint64_t n = std::min<std::uint64_t>(chunk, message.size() - off);
-    send_chunk(p, message.subspan(off, n), msg_id, off, total, cause);
+    send_chunk(p, message.subspan(off, n), msg_id, off, total);
     off += n;
   }
 }
 
 void Transport::enqueue_outbound(OutboundItem item) {
+  // The item crosses into the TX service process, so its cause travels
+  // with it explicitly: the enqueuer's, one store-and-forward hop on.
+  item.ctx = current_cause();
+  if (item.ctx.valid()) ++item.ctx.hop;
   tx_queue_.push_back(std::move(item));
   tx_event_->notify_all();
 }
@@ -862,16 +910,8 @@ void Transport::enqueue_outbound(OutboundItem item) {
 void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
                     int target_pe, int origin_pe, int domain) {
   sim::Engine& engine = runtime_.engine();
-  ObsSpan span(tracer_, engine, pe_track(origin_pe), cat_op_, ev_put_);
-  const std::uint64_t root = begin_op_root(obs::kFamilyPut, src.size());
-  CausalScope root_scope(causal_, engine, root);
-  const obs::TraceCtx op_ctx = ctx_of(root);
-  if (root != 0 && tracer_ != nullptr && tracer_->enabled()) {
-    // Flow arrow from the op slice to every downstream service slice that
-    // records a flow_step with the same trace id.
-    tracer_->flow_start(pe_track(origin_pe), cat_op_, ev_put_, engine.now(),
-                        op_ctx.trace_id);
-  }
+  const Step root =
+      Step::op(*this, origin_pe, cat_op_, ev_put_, obs::kFamilyPut, src.size());
   flight_.log(engine.now(), obs::FlightCode::kPut,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(src.size()));
@@ -896,10 +936,10 @@ void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
     for (const SymmetricHeap::Piece& piece :
          target_heap.pieces(heap_offset, src.size())) {
       window_write(r.port, ntb::kShmemWindow, piece.region, piece.region_off,
-                   src.subspan(done, piece.len), /*app_context=*/true, op_ctx);
+                   src.subspan(done, piece.len), /*app_context=*/true);
       done += piece.len;
     }
-    const int slot = acquire_send_credit(r.port, op_ctx);
+    const int slot = acquire_send_credit(r.port);
     if (full) ++outstanding_by_domain_[domain];
     FrameHeader f;
     f.kind = FrameKind::kDirectPut;
@@ -909,7 +949,7 @@ void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
     f.a = heap_offset;
     f.b = static_cast<std::uint32_t>(src.size());
     emit_frame_inflight(r.port, f, kDbDmaPut, slot,
-                        /*counts_as_delivery=*/full, domain, op_ctx);
+                        /*counts_as_delivery=*/full, domain);
     return;
   }
 
@@ -932,9 +972,9 @@ void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
     mh.op_id = next_op_id_++;
     mh.heap_offset = heap_offset + off;
     mh.payload_len = static_cast<std::uint32_t>(n);
-    const auto msg = build_message(mh, src.subspan(off, n), op_ctx);
+    const auto msg = build_message(mh, src.subspan(off, n));
     if (full) track_delivery(domain, mh.op_id);
-    send_message_staged(r.port, msg, op_ctx);
+    send_message_staged(r.port, msg);
     off += n;
   }
 }
@@ -949,16 +989,15 @@ void Transport::local_put(std::uint64_t heap_offset,
 
 std::uint32_t Transport::get_nbi(std::uint64_t heap_offset,
                                  std::span<std::byte> dst, int source_pe,
-                                 int origin_pe, int domain,
-                                 const obs::TraceCtx& cause) {
-  obs::TraceCtx ctx = cause;
-  std::uint64_t own_root = 0;
-  if (!ctx.valid() && causal_on()) {
-    // Direct (non-blocking) call outside a blocking get(): root a fresh
-    // trace; it closes at local issue, its frames complete asynchronously.
-    own_root = begin_op_root(obs::kFamilyGet, dst.size());
-    ctx = ctx_of(own_root);
-  }
+                                 int origin_pe, int domain) {
+  const Step root =
+      Step::op(*this, origin_pe, cat_op_, ev_get_, obs::kFamilyGet, dst.size());
+  return issue_get(heap_offset, dst, source_pe, origin_pe, domain);
+}
+
+std::uint32_t Transport::issue_get(std::uint64_t heap_offset,
+                                   std::span<std::byte> dst, int source_pe,
+                                   int origin_pe, int domain) {
   flight_.log(runtime_.engine().now(), obs::FlightCode::kGet,
               static_cast<std::uint16_t>(source_pe),
               static_cast<std::uint32_t>(dst.size()));
@@ -967,7 +1006,7 @@ std::uint32_t Transport::get_nbi(std::uint64_t heap_offset,
                                     static_cast<std::uint32_t>(dst.size()),
                                     false, domain};
   const fabric::PortRoute r = route_to(source_pe);
-  const int slot = acquire_send_credit(r.port, ctx);
+  const int slot = acquire_send_credit(r.port);
   FrameHeader f;
   f.kind = FrameKind::kGetRequest;
   f.origin_pe = static_cast<std::uint8_t>(origin_pe);
@@ -976,23 +1015,16 @@ std::uint32_t Transport::get_nbi(std::uint64_t heap_offset,
   f.a = heap_offset;
   f.b = static_cast<std::uint32_t>(dst.size());
   emit_frame_inflight(r.port, f, kDbDmaGet, slot, /*counts_as_delivery=*/false,
-                      0, ctx);
+                      0);
   ++stats_.gets_issued;
-  end_causal(own_root);
   return op_id;
 }
 
 void Transport::get(std::uint64_t heap_offset, std::span<std::byte> dst,
                     int source_pe, int origin_pe) {
   sim::Engine& engine = runtime_.engine();
-  ObsSpan span(tracer_, engine, pe_track(origin_pe), cat_op_, ev_get_);
-  const std::uint64_t root = begin_op_root(obs::kFamilyGet, dst.size());
-  CausalScope root_scope(causal_, engine, root);
-  const obs::TraceCtx op_ctx = ctx_of(root);
-  if (root != 0 && tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->flow_start(pe_track(origin_pe), cat_op_, ev_get_, engine.now(),
-                        op_ctx.trace_id);
-  }
+  const Step root =
+      Step::op(*this, origin_pe, cat_op_, ev_get_, obs::kFamilyGet, dst.size());
   engine.wait_for(timing().sw_overhead);
   if (dst.empty()) return;
   if (is_resident(source_pe)) {
@@ -1002,8 +1034,8 @@ void Transport::get(std::uint64_t heap_offset, std::span<std::byte> dst,
     ++stats_.gets_issued;
     return;
   }
-  const std::uint32_t op_id = get_nbi(heap_offset, dst, source_pe, origin_pe,
-                                      kDefaultDomain, op_ctx);
+  const std::uint32_t op_id =
+      issue_get(heap_offset, dst, source_pe, origin_pe, kDefaultDomain);
   bool waited = false;
   while (!pending_gets_.at(op_id).done) {
     op_event_->wait();
@@ -1018,14 +1050,8 @@ std::uint64_t Transport::atomic(AtomicOp op, std::uint64_t heap_offset,
                                 std::uint64_t operand1,
                                 std::uint64_t operand2, int origin_pe) {
   sim::Engine& engine = runtime_.engine();
-  ObsSpan span(tracer_, engine, pe_track(origin_pe), cat_op_, ev_atomic_);
-  const std::uint64_t root = begin_op_root(obs::kFamilyAtomic, width);
-  CausalScope root_scope(causal_, engine, root);
-  const obs::TraceCtx op_ctx = ctx_of(root);
-  if (root != 0 && tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->flow_start(pe_track(origin_pe), cat_op_, ev_atomic_, engine.now(),
-                        op_ctx.trace_id);
-  }
+  const Step root = Step::op(*this, origin_pe, cat_op_, ev_atomic_,
+                             obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(op));
@@ -1053,9 +1079,9 @@ std::uint64_t Transport::atomic(AtomicOp op, std::uint64_t heap_offset,
   mh.atomic_op = static_cast<std::uint8_t>(op);
   mh.operand1 = operand1;
   mh.operand2 = operand2;
-  const auto msg = build_message(mh, {}, op_ctx);
+  const auto msg = build_message(mh, {});
   const fabric::PortRoute r = route_to(target_pe);
-  send_message_chunked(r.port, msg, op_ctx);  // single 64-byte control chunk
+  send_message_chunked(r.port, msg);  // single 64-byte control chunk
   bool waited = false;
   while (!pending_atomics_.at(op_id).done) {
     op_event_->wait();
@@ -1072,10 +1098,8 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
                             std::uint64_t operand1, int origin_pe,
                             int domain) {
   sim::Engine& engine = runtime_.engine();
-  ObsSpan span(tracer_, engine, pe_track(origin_pe), cat_op_, ev_atomic_);
-  const std::uint64_t root = begin_op_root(obs::kFamilyAtomic, width);
-  CausalScope root_scope(causal_, engine, root);
-  const obs::TraceCtx op_ctx = ctx_of(root);
+  const Step root = Step::op(*this, origin_pe, cat_op_, ev_atomic_,
+                             obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(op));
@@ -1103,9 +1127,9 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
   mh.atomic_op = static_cast<std::uint8_t>(op);
   mh.flags = kMsgFlagNoReply;
   mh.operand1 = operand1;
-  const auto msg = build_message(mh, {}, op_ctx);
+  const auto msg = build_message(mh, {});
   if (full) track_delivery(domain, mh.op_id);
-  send_message_chunked(route_to(target_pe).port, msg, op_ctx);
+  send_message_chunked(route_to(target_pe).port, msg);
 }
 
 void Transport::put_signal(std::uint64_t heap_offset,
@@ -1182,18 +1206,11 @@ void Transport::barrier(int origin_pe) {
   // drains its own domains before calling. Here we only run the
   // synchronization protocol.
   sim::Engine& engine = runtime_.engine();
-  ObsSpan span(tracer_, engine, pe_track(origin_pe), cat_barrier_,
-               ev_barrier_);
   // Each participating PE roots its own barrier trace; the trees link
   // across hosts through the token frames' wire contexts (a leader's tree
   // spans its whole subtree of the token exchange).
-  const std::uint64_t root = begin_op_root(obs::kFamilyBarrier, 0);
-  CausalScope root_scope(causal_, engine, root);
-  const obs::TraceCtx op_ctx = ctx_of(root);
-  if (root != 0 && tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->flow_start(pe_track(origin_pe), cat_barrier_, ev_barrier_,
-                        engine.now(), op_ctx.trace_id);
-  }
+  const Step root = Step::op(*this, origin_pe, cat_barrier_, ev_barrier_,
+                             obs::kFamilyBarrier, 0);
   flight_.log(engine.now(), obs::FlightCode::kBarrier,
               static_cast<std::uint16_t>(origin_pe));
   const sim::Time barrier_t0 = engine.now();
@@ -1220,7 +1237,7 @@ void Transport::barrier(int origin_pe) {
   local_barrier_arrived_ -= k;
 
   if (use_tree_barrier()) {
-    barrier_leader_tree(op_ctx);
+    barrier_leader_tree();
   } else {
     barrier_leader_ring();
   }
@@ -1257,7 +1274,7 @@ void Transport::barrier_leader_ring() {
   }
 }
 
-void Transport::barrier_leader_tree(const obs::TraceCtx& cause) {
+void Transport::barrier_leader_tree() {
   // Two-phase tree rooted at host 0: every leader consumes one up-token per
   // child, non-roots then report up and wait for the release; the root's
   // down-tokens release the tree top-down, each host relaying to its
@@ -1276,16 +1293,15 @@ void Transport::barrier_leader_tree(const obs::TraceCtx& cause) {
   };
   consume(barrier_up_tokens_, barrier_children_.size());
   if (barrier_parent_ >= 0) {
-    send_barrier_token(barrier_parent_, /*phase=*/0, cause);
+    send_barrier_token(barrier_parent_, /*phase=*/0);
     consume(barrier_down_tokens_, 1);
   }
   for (const int child : barrier_children_) {
-    send_barrier_token(child, /*phase=*/1, cause);
+    send_barrier_token(child, /*phase=*/1);
   }
 }
 
-void Transport::send_barrier_token(int dst_host, int phase,
-                                   const obs::TraceCtx& cause) {
+void Transport::send_barrier_token(int dst_host, int phase) {
   MessageHeader mh;
   mh.op = MsgOp::kBarrierToken;
   mh.origin_pe = static_cast<std::uint8_t>(leader_pe());
@@ -1293,13 +1309,13 @@ void Transport::send_barrier_token(int dst_host, int phase,
   mh.op_id = next_op_id_++;
   mh.payload_len = 0;
   mh.operand1 = static_cast<std::uint64_t>(phase);
-  const auto msg = build_message(mh, {}, cause);
+  const auto msg = build_message(mh, {});
   flight_.log(runtime_.engine().now(), obs::FlightCode::kBarrierToken,
               static_cast<std::uint16_t>(leader_pe()),
               static_cast<std::uint32_t>(phase));
   // Parent and children are routing-graph neighbours, so this is one hop
   // (one 64-byte control chunk).
-  send_message_chunked(routes().next_port(host_id_, dst_host), msg, cause);
+  send_message_chunked(routes().next_port(host_id_, dst_host), msg);
   ++stats_.barrier_tokens_sent;
 }
 
@@ -1347,42 +1363,28 @@ void Transport::tx_service_body() {
       // Each forwarded/responded item gets a kForward span on this host's
       // egress; the next hop parents under it (the span's context is
       // restamped into the message header and re-staged on the wire).
-      std::uint64_t fwd = 0;
-      if (causal_on() && item.ctx.valid()) {
-        fwd = causal_->begin(item.ctx, obs::SpanKind::kForward, host_id_,
-                             item.port, runtime_.engine().now(),
-                             static_cast<std::uint64_t>(item.kind),
-                             item.message.size());
-      }
-      const obs::TraceCtx c = fwd != 0 ? causal_->ctx_of(fwd) : item.ctx;
+      const Step fwd = Step::forward(*this, item);
       switch (item.kind) {
         case OutboundItem::Kind::kRawFrame: {
-          const int slot = acquire_send_credit(item.port, c);
+          const int slot = acquire_send_credit(item.port);
           emit_frame_inflight(item.port, item.raw_frame, kDbDmaGet, slot,
-                              /*counts_as_delivery=*/false, 0, c);
+                              /*counts_as_delivery=*/false, 0);
           break;
         }
         case OutboundItem::Kind::kMessage:
-          if (c.valid()) {
-            // Restamp the embedded header so the next hop's dispatch parents
-            // under this forward leg, not the origin's span.
-            MessageHeader mh = read_message_header(item.message);
-            mh.trace_id = c.trace_id;
-            mh.parent_span = c.parent;
-            mh.hop = c.hop;
-            write_message_header(item.message, mh);
-          }
-          send_message_chunked(item.port, item.message, c);
+          // Restamp the embedded header so the next hop's dispatch parents
+          // under this forward leg, not the origin's span.
+          stamp_cause(item.message);
+          send_message_chunked(item.port, item.message);
           break;
         case OutboundItem::Kind::kChunk:
           // Cut-through: one chunk of a message still arriving behind us.
           // The embedded header (in chunk 0) keeps the origin's context; the
           // wire sidecar carries this hop's forward leg.
           send_chunk(item.port, item.message, item.chunk_msg_id,
-                     item.chunk_off, item.chunk_total, c);
+                     item.chunk_off, item.chunk_total);
           break;
       }
-      end_causal(fwd);
     }
   }
 }
@@ -1444,32 +1446,15 @@ void Transport::process_frame(const RxToken& token) {
   const int from = token.from;
   ntb::NtbPort& in = port(from);
   sim::Engine& engine = runtime_.engine();
-  const obs::TrackId rx_track =
-      rx_tracks_.empty() ? obs::TrackId{0}
-                         : rx_tracks_[static_cast<std::size_t>(from)];
-  ObsSpan span(tracer_, engine, rx_track, cat_frame_, ev_process_frame_);
-  // Causal receive legs: a closed kIrq span covers doorbell-latch -> service
-  // wake (interrupt-delay attribution), then an open kService span covers
-  // the header decode and dispatch below. Both parent under the wire context
-  // the sender staged with the frame.
-  std::uint64_t svc = 0;
-  obs::TraceCtx svc_ctx;
-  if (causal_on() && token.ctx.valid()) {
-    if (engine.now() > token.latched_at) {
-      const std::uint64_t irq =
-          causal_->begin(token.ctx, obs::SpanKind::kIrq, host_id_, from,
-                         token.latched_at);
-      causal_->end(irq, engine.now());
-    }
-    svc = causal_->begin(token.ctx, obs::SpanKind::kService, host_id_, from,
-                         engine.now());
-    svc_ctx = causal_->ctx_of(svc);
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->flow_step(rx_track, cat_frame_, ev_process_frame_, engine.now(),
-                         token.ctx.trace_id);
-    }
+  // Causal receive legs, both under the wire context the sender staged with
+  // the frame: a closed kIrq span covers doorbell-latch -> service wake
+  // (interrupt-delay attribution), then the service step covers the header
+  // decode and dispatch below and causes whatever they send.
+  const Step wire = Step::under(*this, token.ctx.parent);
+  if (engine.now() > token.latched_at) {
+    record_leaf(obs::SpanKind::kIrq, from, token.latched_at);
   }
-  CausalScope svc_scope(causal_, engine, svc);
+  const Step svc = Step::service(*this, from);
   // The header registers were latched at doorbell arrival; reading the
   // latched bank costs the same non-posted register reads as the live one.
   std::array<std::uint32_t, 7> regs{};
@@ -1507,14 +1492,12 @@ void Transport::process_frame(const RxToken& token) {
     case FrameKind::kGetRequest: {
       ack_frame(from);  // fields captured; release the channel promptly
       if (is_resident(f.target_pe)) {
-        serve_get_request(f, svc_ctx);
+        serve_get_request(f);
       } else {
         OutboundItem item;
         item.kind = OutboundItem::Kind::kRawFrame;
         item.port = forward_port(f.target_pe, from);  // keep travelling
         item.raw_frame = f;
-        item.ctx = svc_ctx;
-        if (item.ctx.valid()) ++item.ctx.hop;
         enqueue_outbound(std::move(item));
       }
       return;
@@ -1530,8 +1513,7 @@ void Transport::process_frame(const RxToken& token) {
       return;
     }
     case FrameKind::kChunk: {
-      if (tuning().cut_through_forwarding && try_cut_through(f, from, svc_ctx))
-        return;
+      if (tuning().cut_through_forwarding && try_cut_through(f, from)) return;
       const std::uint64_t key = reassembly_key(f.origin_pe, f.id);
       Reassembly& re = reassembly_[key];
       if (re.data.empty()) re.data.resize(f.c);
@@ -1552,8 +1534,7 @@ void Transport::process_frame(const RxToken& token) {
   throw std::runtime_error("unknown frame kind received");
 }
 
-bool Transport::try_cut_through(const FrameHeader& f, int from,
-                                const obs::TraceCtx& cause) {
+bool Transport::try_cut_through(const FrameHeader& f, int from) {
   const std::uint64_t key = reassembly_key(f.origin_pe, f.id);
   auto it = cut_through_.find(key);
   if (it == cut_through_.end()) {
@@ -1587,8 +1568,6 @@ bool Transport::try_cut_through(const FrameHeader& f, int from,
   item.chunk_msg_id = ct.out_msg_id;
   item.chunk_off = f.a;
   item.chunk_total = f.c;
-  item.ctx = cause;
-  if (item.ctx.valid()) ++item.ctx.hop;
   charge_local_copy(f.b);
   stats_.bytes_forwarded += f.b;
   ct.forwarded += f.b;
@@ -1601,29 +1580,23 @@ bool Transport::try_cut_through(const FrameHeader& f, int from,
 
 void Transport::dispatch_message(std::vector<std::byte> message, int from) {
   const MessageHeader mh = read_message_header(message);
-  // Causal context travels embedded in the message header across staged and
-  // chunked hops (the wire sidecar only survives one link).
-  const obs::TraceCtx mctx{mh.trace_id, mh.parent_span, mh.hop};
+  // The message's cause travels embedded in its header across staged and
+  // chunked hops (the wire sidecar only survives one link), so everything
+  // the message causes here runs under the header's context.
+  const Step cause = Step::under(*this, mh.parent_span);
   if (!is_resident(mh.target_pe)) {
     ++stats_.messages_forwarded;
     stats_.bytes_forwarded += message.size();
     OutboundItem item;
     item.port = forward_port(mh.target_pe, from);
     item.message = std::move(message);
-    item.ctx = mctx;
-    if (item.ctx.valid()) ++item.ctx.hop;
     enqueue_outbound(std::move(item));
     return;
   }
-  // Terminal hop: a closed kCopy span covers the local delivery work,
-  // parented on the message's embedded context.
-  std::uint64_t copy = 0;
-  if (causal_on() && mctx.valid()) {
-    copy = causal_->begin(mctx, obs::SpanKind::kCopy, host_id_, from,
-                          runtime_.engine().now(), mh.payload_len,
-                          static_cast<std::uint64_t>(mh.op));
-  }
-  CausalScope copy_scope(causal_, runtime_.engine(), copy);
+  // Terminal hop: a kCopy span covers the local delivery work.
+  const Step copy = Step::leaf(*this, obs::SpanKind::kCopy, from,
+                               mh.payload_len,
+                               static_cast<std::uint64_t>(mh.op));
   const std::span<const std::byte> payload(
       message.data() + kMessageHeaderBytes, mh.payload_len);
   switch (mh.op) {
@@ -1668,8 +1641,7 @@ void Transport::deliver_put(const MessageHeader& h,
     charge_local_copy(payload.size());
     heap_event_->notify_all();
     if (runtime_.options().completion == CompletionMode::kFullDelivery) {
-      send_delivery_ack(h.origin_pe, h.op_id,
-                        obs::TraceCtx{h.trace_id, h.parent_span, h.hop});
+      send_delivery_ack(h.origin_pe, h.op_id);
     }
     sim::Engine& engine = runtime_.engine();
     engine.call_at(
@@ -1686,8 +1658,7 @@ void Transport::deliver_put(const MessageHeader& h,
   charge_local_copy(payload.size());
   heap_event_->notify_all();
   if (runtime_.options().completion == CompletionMode::kFullDelivery) {
-    send_delivery_ack(h.origin_pe, h.op_id,
-                      obs::TraceCtx{h.trace_id, h.parent_span, h.hop});
+    send_delivery_ack(h.origin_pe, h.op_id);
   }
 }
 
@@ -1708,8 +1679,7 @@ void Transport::deliver_get_response(const MessageHeader& h,
   quiet_event_->notify_all();
 }
 
-void Transport::serve_get_request(const FrameHeader& f,
-                                  const obs::TraceCtx& cause) {
+void Transport::serve_get_request(const FrameHeader& f) {
   // Read the requested bytes out of the target PE's symmetric heap and
   // push them back toward the requester through the bypass path.
   std::vector<std::byte> data(f.b);
@@ -1723,9 +1693,7 @@ void Transport::serve_get_request(const FrameHeader& f,
   mh.payload_len = static_cast<std::uint32_t>(data.size());
   OutboundItem item;
   item.port = response_route_to(f.origin_pe).port;
-  item.message = build_message(mh, data, cause);
-  item.ctx = cause;
-  if (item.ctx.valid()) ++item.ctx.hop;
+  item.message = build_message(mh, data);
   enqueue_outbound(std::move(item));
 }
 
@@ -1792,12 +1760,11 @@ void Transport::execute_atomic_request(const MessageHeader& h) {
       apply_atomic(static_cast<AtomicOp>(h.atomic_op), h.target_pe,
                    h.heap_offset, h.width, h.operand1, h.operand2);
   heap_event_->notify_all();
-  const obs::TraceCtx hctx{h.trace_id, h.parent_span, h.hop};
   if ((h.flags & kMsgFlagNoReply) != 0) {
     // Fire-and-forget (signal) atomic: no response, but the origin still
     // tracks delivery under full-completion mode.
     if (runtime_.options().completion == CompletionMode::kFullDelivery) {
-      send_delivery_ack(h.origin_pe, h.op_id, hctx);
+      send_delivery_ack(h.origin_pe, h.op_id);
     }
     return;
   }
@@ -1810,9 +1777,7 @@ void Transport::execute_atomic_request(const MessageHeader& h) {
   resp.operand2 = old;
   OutboundItem item;
   item.port = response_route_to(h.origin_pe).port;
-  item.message = build_message(resp, {}, hctx);
-  item.ctx = hctx;
-  if (item.ctx.valid()) ++item.ctx.hop;
+  item.message = build_message(resp, {});
   enqueue_outbound(std::move(item));
 }
 
@@ -1826,8 +1791,7 @@ void Transport::deliver_atomic_response(const MessageHeader& h) {
   op_event_->notify_all();
 }
 
-void Transport::send_delivery_ack(std::uint8_t origin, std::uint32_t op_id,
-                                  const obs::TraceCtx& cause) {
+void Transport::send_delivery_ack(std::uint8_t origin, std::uint32_t op_id) {
   MessageHeader mh;
   mh.op = MsgOp::kDeliveryAck;
   mh.origin_pe = static_cast<std::uint8_t>(leader_pe());
@@ -1838,9 +1802,7 @@ void Transport::send_delivery_ack(std::uint8_t origin, std::uint32_t op_id,
               static_cast<std::uint16_t>(origin), 0, op_id);
   OutboundItem item;
   item.port = response_route_to(origin).port;
-  item.message = build_message(mh, {}, cause);
-  item.ctx = cause;
-  if (item.ctx.valid()) ++item.ctx.hop;
+  item.message = build_message(mh, {});
   enqueue_outbound(std::move(item));
   ++stats_.delivery_acks_sent;
 }

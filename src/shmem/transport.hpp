@@ -149,13 +149,12 @@ class Transport {
   // data has arrived.
   void get(std::uint64_t heap_offset, std::span<std::byte> dst, int source_pe,
            int origin_pe);
-  // Non-blocking get: returns an op id; completion via quiet(). `cause`
-  // parents the request frame's causal span (a blocking get() passes its
-  // own op root; a direct call roots a fresh trace when recording is on).
+  // Non-blocking get: returns an op id; completion via quiet(). Like
+  // every operation it is its own op root, closed at local issue; its
+  // frames complete asynchronously.
   std::uint32_t get_nbi(std::uint64_t heap_offset, std::span<std::byte> dst,
                         int source_pe, int origin_pe,
-                        int domain = kDefaultDomain,
-                        const obs::TraceCtx& cause = {});
+                        int domain = kDefaultDomain);
 
   // ---- Remote atomics -------------------------------------------------------
   // Executes `op` on the 4- or 8-byte word at `heap_offset` of `target_pe`;
@@ -333,8 +332,8 @@ class Transport {
     std::uint32_t chunk_msg_id = 0;
     std::uint64_t chunk_off = 0;
     std::uint32_t chunk_total = 0;
-    // Causal cause of the forward (the ingress service span, hop already
-    // incremented); the TX service parents its kForward span here.
+    // The enqueuing process's cause, one hop on (stamped by
+    // enqueue_outbound); the TX service parents its kForward span here.
     obs::TraceCtx ctx;
   };
 
@@ -394,11 +393,11 @@ class Transport {
   const TransportTuning& tuning() const;
 
   // ---- send-side primitives ----
-  // Every primitive takes an optional causal `cause`: the span context the
-  // emitted frame/DMA/stall spans parent under (null = record nothing).
+  // The frame, DMA and credit-stall spans these emit parent under the
+  // calling process's current cause (none = record nothing).
   // Blocks until a frame credit is free and returns the staging slot index
   // owned by that credit until the matching ACK doorbell.
-  int acquire_send_credit(int p, const obs::TraceCtx& cause = {});
+  int acquire_send_credit(int p);
   // Writes the 7 header registers (+ checksum reg under reliability).
   void write_frame_regs(int p, const FrameHeader& hdr);
   // write_frame_regs + doorbell; channel must be held. `wire_ctx` is staged
@@ -410,33 +409,35 @@ class Transport {
   // handler consumes. `slot` is the staging slot from acquire_send_credit.
   void emit_frame_inflight(int p, const FrameHeader& hdr, int doorbell,
                            int slot, bool counts_as_delivery,
-                           int delivery_domain,
-                           const obs::TraceCtx& cause = {});
+                           int delivery_domain);
   // Data write through a window with the configured path; charges
   // segment_setup per LUT segment when `app_context` is true (serially, or
   // overlapped with the previous segment's DMA under the pipelined tuning).
   void window_write(int p, int window, host::Region region, std::uint64_t off,
-                    std::span<const std::byte> src, bool app_context,
-                    const obs::TraceCtx& cause = {});
+                    std::span<const std::byte> src, bool app_context);
   // Sends one message (header+payload) one hop through adapter `p`,
   // chunked through the bypass buffer with one handshake per chunk. Any
   // process context.
-  void send_message_chunked(int p, std::span<const std::byte> message,
-                            const obs::TraceCtx& cause = {});
+  void send_message_chunked(int p, std::span<const std::byte> message);
   // Sends one chunk of the logical message `msg_id` (`total` bytes overall)
   // one hop through `p`; the chunk's payload starts at message offset `off`.
   void send_chunk(int p, std::span<const std::byte> payload,
-                  std::uint32_t msg_id, std::uint64_t off, std::uint32_t total,
-                  const obs::TraceCtx& cause = {});
+                  std::uint32_t msg_id, std::uint64_t off, std::uint32_t total);
   // Application fast path: stage the whole message in one handshake.
-  void send_message_staged(int p, std::span<const std::byte> message,
-                           const obs::TraceCtx& cause = {});
-  // `ctx` (when valid) is stamped into the message header's causal fields,
-  // so the logical-message link survives reassembly and forwarding.
+  void send_message_staged(int p, std::span<const std::byte> message);
+  // Header + payload, with the current cause stamped into the header.
   std::vector<std::byte> build_message(const MessageHeader& header,
-                                       std::span<const std::byte> payload,
-                                       const obs::TraceCtx& ctx = {});
+                                       std::span<const std::byte> payload);
+  // Stamps the current cause (when there is one) into the causal fields of
+  // `message`'s header, so the logical-message link survives chunking,
+  // reassembly and forwarding.
+  void stamp_cause(std::span<std::byte> message) const;
+  // Hands `item` to the TX service with the current cause, one hop on.
   void enqueue_outbound(OutboundItem item);
+  // Sends a kGetRequest frame for `dst` and registers the pending get;
+  // shared by get() and get_nbi() under their own op roots.
+  std::uint32_t issue_get(std::uint64_t heap_offset, std::span<std::byte> dst,
+                          int source_pe, int origin_pe, int domain);
 
   // ---- reliability (all no-ops / unreachable when the layer is off) ----
   bool reliability_on() const { return tuning().reliability.enabled; }
@@ -465,8 +466,7 @@ class Transport {
   void process_frame(const RxToken& token);
   // Cut-through fast path for a kChunk frame; returns true when the chunk
   // was forwarded (consumed) instead of entering reassembly.
-  bool try_cut_through(const FrameHeader& f, int from,
-                       const obs::TraceCtx& cause = {});
+  bool try_cut_through(const FrameHeader& f, int from);
   void ack_frame(int from);
   void dispatch_message(std::vector<std::byte> message, int from);
   // Local delivery between co-resident PEs (shared-memory path).
@@ -475,15 +475,13 @@ class Transport {
   void deliver_put(const MessageHeader& h, std::span<const std::byte> payload);
   void deliver_get_response(const MessageHeader& h,
                             std::span<const std::byte> payload);
-  void serve_get_request(const FrameHeader& f,
-                         const obs::TraceCtx& cause = {});
+  void serve_get_request(const FrameHeader& f);
   void execute_atomic_request(const MessageHeader& h);
   void deliver_atomic_response(const MessageHeader& h);
   std::uint64_t apply_atomic(AtomicOp op, int target_pe,
                              std::uint64_t heap_offset, std::uint8_t width,
                              std::uint64_t operand1, std::uint64_t operand2);
-  void send_delivery_ack(std::uint8_t origin, std::uint32_t op_id,
-                         const obs::TraceCtx& cause = {});
+  void send_delivery_ack(std::uint8_t origin, std::uint32_t op_id);
   // Registers an outstanding counted delivery in `domain`.
   void track_delivery(int domain, std::uint32_t op_id);
   void note_delivery_completed(int domain);
@@ -496,13 +494,12 @@ class Transport {
   bool use_tree_barrier() const;
   // Inter-host half of the barrier, run by the host leader PE only.
   void barrier_leader_ring();   // Fig. 6 doorbell circulation
-  // kBarrierToken tree rooted at host 0; tokens parent under `cause` (the
-  // leader's barrier root span).
-  void barrier_leader_tree(const obs::TraceCtx& cause = {});
+  // kBarrierToken tree rooted at host 0; tokens parent under the leader's
+  // barrier root.
+  void barrier_leader_tree();
   // Sends one barrier token (phase 0 = up, 1 = down) to an adjacent host's
   // leader through the normal message path.
-  void send_barrier_token(int dst_host, int phase,
-                          const obs::TraceCtx& cause = {});
+  void send_barrier_token(int dst_host, int phase);
 
   // ---- observability ----
   // Caches tracks/categories/instruments from the engine's obs::Hub (no-op
@@ -525,13 +522,14 @@ class Transport {
   bool causal_on() const {
     return causal_ != nullptr && causal_->enabled();
   }
-  // Roots a fresh causal trace for one application operation (family =
-  // obs::kFamily*); returns 0 when causal recording is off.
-  std::uint64_t begin_op_root(std::uint8_t family, std::uint64_t bytes);
-  // Context of span `id` ({0,0,0} for id 0 / recording off).
-  obs::TraceCtx ctx_of(std::uint64_t id) const;
-  // Closes span `id` at the current virtual time (no-op for id 0).
-  void end_causal(std::uint64_t id);
+  // One instrumented step of the calling process; see transport.cpp.
+  class Step;
+  // Context of the calling process's current cause ({} outside a process
+  // or while causal recording is off).
+  obs::TraceCtx current_cause() const;
+  // Records a closed leaf span from `t0` to now under the current cause.
+  void record_leaf(obs::SpanKind kind, int port, sim::Time t0,
+                   std::uint64_t a = 0, std::uint64_t b = 0);
 
   Runtime& runtime_;
   int host_id_;

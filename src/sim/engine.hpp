@@ -86,6 +86,14 @@ class Process {
   void set_user_binding(void* b) { user_binding_ = b; }
   void* user_binding() const { return user_binding_; }
 
+  // Current-cause slot: the causal span (an obs::CausalRecorder id; 0 =
+  // none) whatever this process is doing right now was caused by. Kept
+  // per process for the same reason as the user binding: co-resident PEs
+  // and a host's service daemons interleave on one transport, and each of
+  // them has its own cause.
+  void set_cause(std::uint64_t span) { cause_ = span; }
+  std::uint64_t cause() const { return cause_; }
+
  private:
   friend class Engine;
   friend class Event;
@@ -120,6 +128,7 @@ class Process {
   // needs no stack); stack released eagerly on finish.
   std::unique_ptr<Fiber> fiber_;
   void* user_binding_ = nullptr;  // see set_user_binding()
+  std::uint64_t cause_ = 0;       // see set_cause()
 };
 
 // The process currently executing on the calling OS thread, or nullptr in

@@ -102,22 +102,6 @@ TEST(TracerTest, RecordsLandOnTheirOwnTracks) {
   EXPECT_EQ(tr.total_records(), 3u);
 }
 
-TEST(TracerTest, RingModeEvictsOldestAndCountsDropped) {
-  Tracer tr;
-  tr.set_enabled(true);
-  tr.set_ring_capacity(4);
-  const TrackId t = tr.track("host0", "pe0");
-  const CategoryId cat = tr.category("op");
-  const EventId ev = tr.event("tick");
-  for (sim::Time i = 0; i < 10; ++i) tr.instant(t, cat, ev, i);
-
-  const auto& track = tr.tracks()[t];
-  ASSERT_EQ(track.records.size(), 4u);
-  EXPECT_EQ(track.dropped, 6u);
-  EXPECT_EQ(track.records.front().t, 6);  // oldest kept is record #6
-  EXPECT_EQ(track.records.back().t, 9);
-}
-
 TEST(TracerTest, AsyncIdsStartAtOneAndIncrement) {
   Tracer tr;
   EXPECT_EQ(tr.next_async_id(), 1u);

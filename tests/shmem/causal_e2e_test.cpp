@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/causal.hpp"
+#include "obs/trace.hpp"
 #include "shmem/api.hpp"
 #include "shmem_test_util.hpp"
 
@@ -53,6 +56,15 @@ std::vector<CausalSpan> trace_spans(const Runtime& rt, std::uint64_t trace) {
     if (s.trace_id == trace) out.push_back(s);
   }
   return out;
+}
+
+// FNV-1a over an exported artifact: pins its exact bytes in one constant.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
 }
 
 const CausalSpan* find_root(const Runtime& rt, std::uint64_t family) {
@@ -140,6 +152,9 @@ TEST(CausalE2E, TheTreeIsGoldenDeterministic) {
   a.write_causal_trace(ja);
   b.write_causal_trace(jb);
   EXPECT_EQ(ja.str(), jb.str());
+  // Pinned across refactors of how spans are emitted: every span id,
+  // parent link, timestamp and counter of the artifact stays put.
+  EXPECT_EQ(fnv1a(ja.str()), 0xb808e47c41ba6d6aull);
 }
 
 TEST(CausalE2E, RecordingIsExactlyTimingNeutral) {
@@ -199,6 +214,151 @@ TEST(CausalE2E, Torus16TreeBarrierLinksTokensIntoBarrierRoots) {
   }
   EXPECT_GE(hosts.size(), 2u) << "barrier tokens never left the root host";
   EXPECT_TRUE(token_frame) << "no token frame leg in the barrier tree";
+  std::ostringstream artifact;
+  rt.write_causal_trace(artifact);
+  EXPECT_EQ(fnv1a(artifact.str()), 0x41409038304ec75aull);
+}
+
+// Every Perfetto flow arrow needs its origin: each trace id that some rx
+// service slice steps must have exactly one flow_start at an op slice.
+// put-with-signal roots its signal leg as its own atomic op, and a direct
+// getmem_nbi roots its own get; both must start their flows.
+TEST(CausalE2E, EveryFlowStepHasExactlyOneStart) {
+  RuntimeOptions opts = test_options(3);
+  opts.obs.spans_enabled = true;
+  opts.obs.causal_enabled = true;
+  Runtime rt(opts);
+  rt.run([] {
+    shmem_init();
+    auto* buf = static_cast<std::byte*>(shmem_calloc(1, 256));
+    auto* sig = static_cast<std::uint64_t*>(shmem_calloc(1, 8));
+    if (shmem_my_pe() == 0) {
+      const auto data = pattern(256, 3);
+      shmem_putmem_signal(buf, data.data(), data.size(), sig, 1,
+                          SHMEM_SIGNAL_SET, 2);
+      std::vector<std::byte> got(256);
+      shmem_getmem_nbi(got.data(), buf, got.size(), 1);
+      shmem_quiet();
+    }
+    shmem_barrier_all();
+    shmem_finalize();
+  });
+
+  std::map<std::uint64_t, int> starts;
+  std::set<std::uint64_t> stepped;
+  for (const obs::Tracer::Track& track : rt.obs().tracer.tracks()) {
+    for (const obs::TraceRecord& r : track.records) {
+      if (r.kind == obs::RecordKind::kFlowStart) ++starts[r.id];
+      if (r.kind == obs::RecordKind::kFlowStep) stepped.insert(r.id);
+    }
+  }
+  ASSERT_FALSE(stepped.empty()) << "no flow arrows recorded";
+  for (const std::uint64_t id : stepped) {
+    EXPECT_EQ(starts[id], 1) << "flow " << id << " has steps but "
+                             << starts[id] << " starts";
+  }
+  // The signal leg and the direct get_nbi each rooted a trace of their own.
+  std::set<std::uint64_t> roots;
+  for (const CausalSpan& s : rt.obs().causal.spans()) {
+    if (s.parent == 0 && (s.a == obs::kFamilyAtomic || s.a == obs::kFamilyGet))
+      roots.insert(s.trace_id);
+  }
+  EXPECT_EQ(roots.size(), 2u);
+  for (const std::uint64_t trace : roots) EXPECT_EQ(starts[trace], 1);
+}
+
+// The causal context belongs to the simulated process, not to the host's
+// transport: two co-resident PEs issue multi-hop puts of different sizes
+// concurrently while the host's rx service handles inbound traffic, and
+// every span each PE emits must land in that PE's own op tree.
+TEST(CausalE2E, CoResidentPesKeepTheirOwnCause) {
+  constexpr std::size_t kSmall = 96 * 1024;
+  constexpr std::size_t kLarge = 160 * 1024;
+  constexpr int kRounds = 3;
+  RuntimeOptions opts = test_options(8);  // 4 hosts x 2 PEs, kRightOnly
+  opts.pes_per_host = 2;
+  opts.obs.causal_enabled = true;
+  Runtime rt(opts);
+  rt.run([] {
+    shmem_init();
+    auto* out = static_cast<std::byte*>(shmem_malloc(kLarge));
+    auto* in = static_cast<std::byte*>(shmem_malloc(kLarge));
+    const int me = shmem_my_pe();
+    shmem_barrier_all();
+    if (me == 0 || me == 1) {
+      // Host 0's residents: two hops right to host 2, sizes by PE.
+      const std::size_t n = me == 0 ? kSmall : kLarge;
+      const auto data = pattern(n, me);
+      for (int i = 0; i < kRounds; ++i) {
+        shmem_putmem(in, data.data(), n, 4 + me);
+      }
+    } else if (me == 6 || me == 7) {
+      // Host 3's residents feed host 0's rx service meanwhile (one hop).
+      const auto data = pattern(64 * 1024, me);
+      for (int i = 0; i < kRounds; ++i) {
+        shmem_putmem(out, data.data(), data.size(), me - 6);
+      }
+    }
+    shmem_quiet();
+    shmem_barrier_all();
+    shmem_finalize();
+  });
+
+  const auto& spans = rt.obs().causal.spans();
+  auto is_put_root = [](const CausalSpan& s) {
+    return s.parent == 0 && s.kind == SpanKind::kOp &&
+           s.a == obs::kFamilyPut;
+  };
+  std::map<std::uint64_t, std::uint64_t> dma_bytes;  // root id -> sum
+  std::map<std::uint64_t, int> frames;               // root id -> count
+  std::map<std::uint64_t, int> host0_roots_by_size;  // bytes -> roots
+  for (const CausalSpan& s : spans) {
+    if (is_put_root(s) && s.host == 0) ++host0_roots_by_size[s.b];
+    if (s.kind == SpanKind::kDma) dma_bytes[s.parent] += s.a;  // bytes
+    if (s.host != 0) continue;
+    if (s.kind != SpanKind::kFrame && s.kind != SpanKind::kCreditStall)
+      continue;
+    // Host 0 forwards nothing and answers with bare ack doorbells, so each
+    // of its frames and credit stalls was issued by a resident PE inside a
+    // put: its cause is that put's root.
+    const CausalSpan* root = rt.obs().causal.find(s.parent);
+    ASSERT_NE(root, nullptr) << "span " << s.id << " has no cause";
+    EXPECT_TRUE(is_put_root(*root) && root->host == 0)
+        << obs::span_kind_name(s.kind) << " span " << s.id
+        << " escaped its PE's put tree (parent " << s.parent << ")";
+    EXPECT_GE(s.t0, root->t0);
+    if (s.kind == SpanKind::kFrame) ++frames[root->id];
+  }
+  EXPECT_EQ(host0_roots_by_size,
+            (std::map<std::uint64_t, int>{{kSmall, kRounds},
+                                          {kLarge, kRounds}}));
+  for (const CausalSpan& s : spans) {
+    if (!is_put_root(s)) continue;
+    EXPECT_EQ(dma_bytes[s.id], s.b)
+        << "put root " << s.id << " on host " << s.host
+        << ": its dma children moved " << dma_bytes[s.id] << " bytes";
+    // One staged sub-message per put: exactly one frame from host 0.
+    if (s.host == 0) {
+      EXPECT_EQ(frames[s.id], 1) << "put root " << s.id;
+    }
+  }
+  // The scenario really interleaves: the PEs contended for the channel
+  // credit, and host 0's rx service ran while one of their puts was open.
+  std::size_t stalls = 0;
+  std::size_t interleaved = 0;
+  for (const CausalSpan& s : spans) {
+    if (s.host != 0) continue;
+    if (s.kind == SpanKind::kCreditStall) ++stalls;
+    if (s.kind != SpanKind::kService) continue;
+    for (const CausalSpan& r : spans) {
+      if (is_put_root(r) && r.host == 0 && r.t0 < s.t0 && s.t0 < r.t1) {
+        ++interleaved;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(stalls, 0u) << "the two PEs never contended for the credit";
+  EXPECT_GT(interleaved, 0u) << "host 0's rx service never ran mid-put";
 }
 
 }  // namespace
