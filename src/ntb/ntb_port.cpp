@@ -232,25 +232,56 @@ void NtbPort::pio_read(int idx, std::uint64_t off, std::span<std::byte> dst) {
   obs_pio_bytes_->add(dst.size());
 }
 
-void NtbPort::write_scratchpad(int idx, std::uint32_t value) {
-  require_connected("write_scratchpad");
-  if (idx < 0 || idx >= kNumScratchpads) {
+void NtbPort::post(int first, std::span<const std::uint32_t> regs,
+                   int doorbell) {
+  require_connected("post");
+  const int n = static_cast<int>(regs.size());
+  if (first < 0 || n > kNumScratchpads - first) {
     throw std::out_of_range(name_ + ": scratchpad index out of range");
   }
-  await_link_up();
-  engine_.wait_for(config_.reg_write);
-  obs_sp_writes_->inc();
-  std::uint32_t stored = value;
-  if (sim::FaultPlan* plan = engine_.faults()) {
-    // Corruption lands in the peer's register bank, not on the wire: the
-    // posted write completed but the stored word is damaged. The transport
-    // detects this via its frame checksum (reg 7) and NAKs.
-    std::uint32_t mask = 0;
-    if (plan->corrupt_scratchpad(engine_.now(), name_, idx, &mask)) {
-      stored ^= mask;
-    }
+  const bool ring = doorbell != kNoDoorbell;
+  if (ring && (doorbell < 0 || doorbell >= kNumDoorbells)) {
+    throw std::out_of_range(name_ + ": doorbell bit out of range");
   }
-  peer_->scratchpad_[static_cast<std::size_t>(idx)] = stored;
+  await_link_up();
+  const sim::Time t0 = engine_.now();
+  const std::uint64_t down_edges = link_->down_edges();
+  engine_.wait_for(static_cast<sim::Dur>(n + (ring ? 1 : 0)) *
+                   config_.reg_write);
+  if (link_->down_edges() != down_edges) {
+    // The link dropped somewhere inside the burst: nothing has landed yet,
+    // so fail (or wait for retraining) exactly as a single write would.
+    if (!config_.retry_on_link_down) throw pcie::LinkDownError(link_->name());
+    await_link_up();
+  }
+  sim::FaultPlan* plan = engine_.faults();
+  for (int i = 0; i < n; ++i) {
+    std::uint32_t stored = regs[static_cast<std::size_t>(i)];
+    if (plan != nullptr) {
+      // Corruption lands in the peer's register bank, not on the wire: the
+      // posted write completed but the stored word is damaged. The
+      // transport detects this via its frame checksum (reg 7) and NAKs.
+      std::uint32_t mask = 0;
+      if (plan->corrupt_scratchpad(t0 + (i + 1) * config_.reg_write, name_,
+                                   first + i, &mask)) {
+        stored ^= mask;
+      }
+    }
+    peer_->scratchpad_[static_cast<std::size_t>(first + i)] = stored;
+  }
+  obs_sp_writes_->add(static_cast<std::uint64_t>(n));
+  if (!ring) return;
+  obs_doorbells_->inc();
+  if (tracer_ != nullptr) {
+    tracer_->instant(obs_track_, obs_cat_ctl_, obs_ev_doorbell_, engine_.now(),
+                     static_cast<double>(doorbell));
+  }
+  // A dropped ring is lost before the peer sees anything: no status bit,
+  // no latch, no interrupt. The write time was still spent.
+  if (plan != nullptr && plan->drop_doorbell(engine_.now(), name_, doorbell)) {
+    return;
+  }
+  peer_->receive_doorbell(doorbell);
 }
 
 std::uint32_t NtbPort::read_scratchpad(int idx) {
@@ -260,26 +291,6 @@ std::uint32_t NtbPort::read_scratchpad(int idx) {
   }
   engine_.wait_for(config_.reg_read);
   return scratchpad_[static_cast<std::size_t>(idx)];
-}
-
-void NtbPort::ring_doorbell(int bit) {
-  require_connected("ring_doorbell");
-  if (bit < 0 || bit >= kNumDoorbells) {
-    throw std::out_of_range(name_ + ": doorbell bit out of range");
-  }
-  await_link_up();
-  engine_.wait_for(config_.reg_write);
-  obs_doorbells_->inc();
-  if (tracer_ != nullptr) {
-    tracer_->instant(obs_track_, obs_cat_ctl_, obs_ev_doorbell_, engine_.now(),
-                     static_cast<double>(bit));
-  }
-  if (sim::FaultPlan* plan = engine_.faults()) {
-    // A dropped ring is lost before the peer sees anything: no status bit,
-    // no latch, no interrupt. The write time was still spent.
-    if (plan->drop_doorbell(engine_.now(), name_, bit)) return;
-  }
-  peer_->receive_doorbell(bit);
 }
 
 void NtbPort::receive_doorbell(int bit) {

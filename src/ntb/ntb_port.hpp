@@ -14,9 +14,12 @@
 //
 // Timing: every data-movement and register method blocks the calling
 // simulated process for the modeled duration; data becomes visible in the
-// peer's memory at completion time. Interrupt handlers run in scheduler
-// context and must not call the blocking methods — that is the service
-// thread's job, exactly as in the paper's Fig. 5 design.
+// peer's memory at completion time. ScratchPad writes and doorbells are
+// posted writes, so a burst of them (post) blocks once, for all of its
+// writes back to back, and its registers land together just before its
+// doorbell. Interrupt handlers run in scheduler context and must not call
+// the blocking methods — that is the service thread's job, exactly as in
+// the paper's Fig. 5 design.
 #pragma once
 
 #include <array>
@@ -36,6 +39,8 @@ namespace ntbshmem::ntb {
 inline constexpr int kNumScratchpads = 8;
 inline constexpr int kNumDoorbells = 16;
 inline constexpr int kNumWindows = 4;
+// `doorbell` argument of NtbPort::post for a burst that rings nothing.
+inline constexpr int kNoDoorbell = -1;
 
 // Conventional window roles used by the OpenSHMEM layer; the raw window is
 // what the Fig. 8 link-rate experiment programs directly.
@@ -124,7 +129,22 @@ class NtbPort {
   // adapters): writing lands in the PEER's bank, reading returns the local
   // bank — so the two directions of a link never clobber each other's
   // in-flight headers.
-  void write_scratchpad(int idx, std::uint32_t value);
+  //
+  // Posted burst: writes `regs` into the peer's registers first..first+n-1
+  // and then, unless `doorbell` is kNoDoorbell, rings that doorbell bit —
+  // one wait of (n + 1) x reg_write (n x reg_write without a doorbell), the
+  // time the writes take back to back. The registers land together at the
+  // end of the burst, just before the doorbell's latch snapshot. Fault
+  // decisions are still drawn per register in register order on the same
+  // (site, key) streams, each stamped with its register's own landing time
+  // t0 + (i + 1) x reg_write. A link that goes down anywhere inside the
+  // burst fails it as a down link fails one write (LinkDownError, or wait
+  // for retraining under retry_on_link_down); a failed burst lands nothing.
+  void post(int first, std::span<const std::uint32_t> regs,
+            int doorbell = kNoDoorbell);
+  void write_scratchpad(int idx, std::uint32_t value) {
+    post(idx, std::span<const std::uint32_t>(&value, 1));
+  }
   std::uint32_t read_scratchpad(int idx);
 
   // ---- Frame latch (double-buffered ScratchPad extension) -------------------
@@ -169,7 +189,7 @@ class NtbPort {
   // ---- Doorbells ------------------------------------------------------------
   // Sets bit `bit` in the peer's doorbell status and raises the peer's
   // interrupt vector (vector_base + bit). Blocking (one register write).
-  void ring_doorbell(int bit);
+  void ring_doorbell(int bit) { post(0, {}, bit); }
   // Local latched doorbell status; reading is free (tests/ISRs), clearing
   // charges a register write.
   std::uint16_t doorbell_status() const { return db_status_; }

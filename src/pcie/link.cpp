@@ -114,11 +114,11 @@ void Link::note_replay(End, sim::Dur stall) {
 sim::Dur Link::fault_replay_delay(sim::FaultPlan* plan, sim::Time now, End from,
                                   std::uint64_t bytes) const {
   if (plan == nullptr) return 0;
-  // Stream key matches the BandwidthResource carrying this direction, so a
-  // targeted test can arm "link0-1.a2b" directly.
-  const std::string wire = name_ + (from == End::kA ? ".a2b" : ".b2a");
+  // Stream key is the name of the BandwidthResource carrying this
+  // direction, so a targeted test can arm "link0-1.a2b" directly.
+  const sim::BandwidthResource& wire = from == End::kA ? *a_to_b_ : *b_to_a_;
   return plan->tlp_replay_penalty(
-      now, wire, bytes, static_cast<std::uint32_t>(config_.max_payload));
+      now, wire.name(), bytes, static_cast<std::uint32_t>(config_.max_payload));
 }
 
 }  // namespace ntbshmem::pcie

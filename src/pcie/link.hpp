@@ -44,7 +44,14 @@ class Link {
   const std::string& name() const { return name_; }
 
   bool up() const { return up_; }
-  void set_up(bool up) { up_ = up; }
+  void set_up(bool up) {
+    if (up_ && !up) ++down_edges_;
+    up_ = up;
+  }
+  // Number of up -> down transitions so far: a blocking operation compares
+  // it across its wait to see whether the link dropped at any point inside
+  // (NtbPort::post), even if it has retrained since.
+  std::uint64_t down_edges() const { return down_edges_; }
   void check_up() const {
     if (!up_) throw LinkDownError(name_);
   }
@@ -102,6 +109,7 @@ class Link {
   std::string name_;
   LinkConfig config_;
   bool up_ = true;
+  std::uint64_t down_edges_ = 0;
   std::unique_ptr<sim::BandwidthResource> a_to_b_;
   std::unique_ptr<sim::BandwidthResource> b_to_a_;
 

@@ -576,10 +576,14 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
     rec.wire_ctx = causal_->ctx_of(rec.causal_id);
   }
   ch.inflight.push_back(rec);
-  emit_frame(p, h, doorbell, rec.wire_ctx);
+  post_frame(p, h, doorbell, rec.wire_ctx);
+  ++stats_.frames_sent;
+  flight_.log(runtime_.engine().now(), obs::FlightCode::kFrameTx,
+              static_cast<std::uint16_t>(p),
+              static_cast<std::uint32_t>(doorbell), h.id);
   if (reliability_on()) {
     // Re-find by seq: acks for earlier frames may have popped the deque
-    // while emit_frame blocked on register writes.
+    // while post_frame blocked on its register burst.
     if (TxChannel::InFlight* r = find_inflight(ch, rec.seq)) {
       r->emitted_at = runtime_.engine().now();
       arm_retx_timer(p, *r);
@@ -588,31 +592,24 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
   ch.emit_serial.release();
 }
 
-void Transport::write_frame_regs(int p, const FrameHeader& hdr) {
-  ntb::NtbPort& out = port(p);
-  const auto regs = hdr.pack();
-  for (int i = 0; i < kFrameRegs; ++i) {
-    out.write_scratchpad(i, regs[static_cast<std::size_t>(i)]);
-  }
-  if (reliability_on()) {
-    // One extra posted write: the header checksum in the receiver bank's
-    // reg 7. Computed over the intended values — a corrupted register
-    // lands with an unchanged checksum and fails verification.
-    out.write_scratchpad(kAckReg, frame_checksum(regs));
-  }
-}
-
-void Transport::emit_frame(int p, const FrameHeader& hdr, int doorbell,
+void Transport::post_frame(int p, const FrameHeader& hdr, int doorbell,
                            const obs::TraceCtx& wire_ctx) {
-  write_frame_regs(p, hdr);
   // Stage the causal sidecar so the doorbell's latch snapshots it with the
-  // registers (out of band: no wire bytes, no register-write charge).
+  // registers (out of band: no wire bytes, no register-write charge). The
+  // channel's emit_serial keeps any other data frame from restaging it
+  // before this burst's doorbell.
   if (wire_ctx.valid()) port(p).stage_tx_ctx(wire_ctx);
-  port(p).ring_doorbell(doorbell);
-  ++stats_.frames_sent;
-  flight_.log(runtime_.engine().now(), obs::FlightCode::kFrameTx,
-              static_cast<std::uint16_t>(p),
-              static_cast<std::uint32_t>(doorbell), hdr.id);
+  const auto header = hdr.pack();
+  std::array<std::uint32_t, kFrameRegs + 1> regs{};
+  std::copy(header.begin(), header.end(), regs.begin());
+  std::size_t n = kFrameRegs;
+  if (reliability_on()) {
+    // One extra register: the header checksum in the receiver bank's reg 7.
+    // Computed over the intended values — a corrupted register lands with
+    // an unchanged checksum and fails verification.
+    regs[n++] = frame_checksum(header);
+  }
+  port(p).post(0, std::span<const std::uint32_t>(regs.data(), n), doorbell);
 }
 
 Transport::TxChannel::InFlight* Transport::find_inflight(TxChannel& ch,
@@ -707,9 +704,7 @@ void Transport::retransmit(int p, std::uint8_t seq) {
       Step::leaf(*this, obs::SpanKind::kRetransmit, p, seq,
                  static_cast<std::uint64_t>(rec->retries));
   ch.emit_serial.acquire();
-  write_frame_regs(p, hdr);
-  if (wire.valid()) port(p).stage_tx_ctx(wire);
-  port(p).ring_doorbell(doorbell);
+  post_frame(p, hdr, doorbell, wire);
   ch.emit_serial.release();
   if (TxChannel::InFlight* still = find_inflight(ch, seq)) {
     arm_retx_timer(p, *still);
@@ -1392,8 +1387,8 @@ void Transport::tx_service_body() {
 void Transport::ack_frame(int from) {
   ntb::NtbPort& in = port(from);
   if (!reliability_on()) {
-    in.write_scratchpad(kAckReg, 1);
-    in.ring_doorbell(kDbAck);
+    const std::uint32_t consumed = 1;
+    in.post(kAckReg, std::span<const std::uint32_t>(&consumed, 1), kDbAck);
     return;
   }
   // The cumulative ack word lands in the *peer* bank's reg 7 — the same
@@ -1403,9 +1398,9 @@ void Transport::ack_frame(int from) {
   TxChannel& ch = channel(from);
   const auto acked = static_cast<std::uint8_t>(
       rx_expected_seq_[static_cast<std::size_t>(from)] - 1);
+  const std::uint32_t word = pack_ack_word(acked);
   ch.emit_serial.acquire();
-  in.write_scratchpad(kAckReg, pack_ack_word(acked));
-  in.ring_doorbell(kDbAck);
+  in.post(kAckReg, std::span<const std::uint32_t>(&word, 1), kDbAck);
   ch.emit_serial.release();
 }
 
@@ -1456,19 +1451,18 @@ void Transport::process_frame(const RxToken& token) {
   }
   const Step svc = Step::service(*this, from);
   // The header registers were latched at doorbell arrival; reading the
-  // latched bank costs the same non-posted register reads as the live one.
-  std::array<std::uint32_t, 7> regs{};
-  for (int i = 0; i < kFrameRegs; ++i) {
-    runtime_.engine().wait_for(in.config().reg_read);
-    regs[static_cast<std::size_t>(i)] = token.regs[static_cast<std::size_t>(i)];
-  }
+  // latched bank costs the same non-posted register reads as the live one,
+  // charged as one wait for the seven back-to-back reads.
+  engine.wait_for(kFrameRegs * in.config().reg_read);
+  std::array<std::uint32_t, kFrameRegs> regs{};
+  std::copy_n(token.regs.begin(), kFrameRegs, regs.begin());
   const FrameHeader f = FrameHeader::unpack(regs);
   flight_.log(engine.now(), obs::FlightCode::kFrameRx,
               static_cast<std::uint16_t>(from),
               static_cast<std::uint32_t>(f.kind), f.id);
   if (reliability_on()) {
     // One more register read: the checksum the sender wrote into reg 7.
-    runtime_.engine().wait_for(in.config().reg_read);
+    engine.wait_for(in.config().reg_read);
     if (token.regs[kAckReg] != frame_checksum(regs)) {
       ++stats_.frames_corrupt_dropped;
       flight_.log(engine.now(), obs::FlightCode::kChecksumDrop,

@@ -398,15 +398,16 @@ class Transport {
   // Blocks until a frame credit is free and returns the staging slot index
   // owned by that credit until the matching ACK doorbell.
   int acquire_send_credit(int p);
-  // Writes the 7 header registers (+ checksum reg under reliability).
-  void write_frame_regs(int p, const FrameHeader& hdr);
-  // write_frame_regs + doorbell; channel must be held. `wire_ctx` is staged
-  // into the port's causal sidecar so the receiver's latch carries it.
-  void emit_frame(int p, const FrameHeader& hdr, int doorbell,
-                  const obs::TraceCtx& wire_ctx = {});
-  // emit_frame plus in-flight bookkeeping: serializes the ScratchPad
-  // staging against other credit holders and registers the record the ACK
-  // handler consumes. `slot` is the staging slot from acquire_send_credit.
+  // Posts the 7 header registers (+ checksum reg under reliability) and
+  // `doorbell` as one register burst; the channel's emit_serial must be
+  // held. `wire_ctx` is staged into the port's causal sidecar first so the
+  // receiver's latch carries it.
+  void post_frame(int p, const FrameHeader& hdr, int doorbell,
+                  const obs::TraceCtx& wire_ctx);
+  // First emission of a frame: post_frame plus in-flight bookkeeping.
+  // Serializes the ScratchPad staging against other credit holders and
+  // registers the record the ACK handler consumes. `slot` is the staging
+  // slot from acquire_send_credit.
   void emit_frame_inflight(int p, const FrameHeader& hdr, int doorbell,
                            int slot, bool counts_as_delivery,
                            int delivery_domain);

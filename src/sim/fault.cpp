@@ -105,18 +105,21 @@ void FaultPlan::note(Time now, const std::string& message) {
 }
 
 bool FaultPlan::drop_doorbell(Time now, const std::string& port, int bit) {
-  const std::string key = port + ":" + std::to_string(bit);
+  const bool eligible = (spec_.doorbell_drop_mask & (1u << bit)) != 0;
   if (hook_ != nullptr) {
     // Mask check FIRST: a masked bit (barrier circulation) must not become
     // a branch point — dropping it would be an unrecoverable false deadlock.
-    if ((spec_.doorbell_drop_mask & (1u << bit)) == 0) return false;
+    if (!eligible) return false;
+  } else if (one_shots_.empty() && (!eligible || spec_.doorbell_drop <= 0.0)) {
+    return false;  // nothing can fire: the key is never built
+  }
+  // Without a hook an armed one-shot fires even on a masked bit.
+  const std::string key = port + ":" + std::to_string(bit);
+  if (hook_ != nullptr) {
     if (!explore_decision(Site::kDoorbell, key)) return false;
-  } else {
-    const bool armed = take_one_shot(Site::kDoorbell, key);
-    if (!armed) {
-      if ((spec_.doorbell_drop_mask & (1u << bit)) == 0) return false;
-      if (!roll(Site::kDoorbell, key, spec_.doorbell_drop)) return false;
-    }
+  } else if (!take_one_shot(Site::kDoorbell, key) &&
+             (!eligible || !roll(Site::kDoorbell, key, spec_.doorbell_drop))) {
+    return false;
   }
   ++stats_.doorbells_dropped;
   note(now, "doorbell drop " + key);

@@ -1,8 +1,8 @@
 // Deterministic fault-injection plan for the simulated fabric.
 //
 // A FaultPlan is a seeded source of failure decisions that hardware models
-// consult at well-defined sites: doorbell delivery (NtbPort::ring_doorbell),
-// ScratchPad register writes, DMA descriptor programming, per-TLP link
+// consult at well-defined sites: doorbell delivery and ScratchPad register
+// writes (both in NtbPort::post), DMA descriptor programming, per-TLP link
 // transfer (CRC-detected drop/corrupt -> replay penalty) and host interrupt
 // delivery (delayed/coalesced vectors). Scheduled link flaps ride along in
 // the spec and are applied by the runtime with Engine::call_at.
@@ -15,9 +15,11 @@
 // tests/sim/fault_test.cpp and replayed end-to-end by the fuzz harness).
 //
 // All probability rolls early-return without touching the stream when the
-// configured probability is zero, so an attached all-zero plan is exactly
-// free: no waits, no state, bit-identical virtual times (the golden-time
-// tests run with a zero plan attached).
+// configured probability is zero, and a site builds its key string only
+// when a hook, an armed one-shot or a non-zero probability can use it, so
+// an attached all-zero plan is exactly free: no waits, no state, no
+// allocations, bit-identical virtual times (the golden-time tests run with
+// a zero plan attached).
 #pragma once
 
 #include <cstdint>

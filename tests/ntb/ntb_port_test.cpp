@@ -1,17 +1,22 @@
 // NTB port model: window translation, DMA/PIO data movement and timing,
-// scratchpad visibility, doorbell interrupt semantics.
+// scratchpad visibility, doorbell interrupt semantics, posted register
+// bursts.
 #include "ntb/ntb_port.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "pcie/link.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
+#include "sim/fault.hpp"
 
 namespace ntbshmem::ntb {
 namespace {
@@ -213,6 +218,138 @@ TEST_F(NtbPairFixture, LinkDownFailsTransfersAndRegisters) {
     EXPECT_THROW(port_a_->ring_doorbell(0), pcie::LinkDownError);
   });
   engine_.run();
+}
+
+// ---- Posted register burst (NtbPort::post) ----------------------------------
+
+constexpr std::array<std::uint32_t, 7> kHeader = {
+    0x11111111u, 0x22222222u, 0x33333333u, 0x44444444u,
+    0x55555555u, 0x66666666u, 0x77777777u};
+
+TEST_F(NtbPairFixture, PostedBurstIsOneWaitOfAllItsWrites) {
+  port_b_->set_latch_bits(1u << 3);
+  sim::Dur took = -1;
+  std::uint64_t dispatches = 0;
+  engine_.spawn("p", [&] {
+    const sim::Time t0 = engine_.now();
+    const std::uint64_t d0 = engine_.dispatch_count();
+    port_a_->post(0, kHeader, 3);
+    dispatches = engine_.dispatch_count() - d0;
+    took = engine_.now() - t0;
+  });
+  engine_.run();
+  // Seven register writes plus the doorbell, back to back, for one wake of
+  // the caller.
+  EXPECT_EQ(took, 8 * PortConfig{}.reg_write);
+  EXPECT_EQ(dispatches, 1u);
+  // The doorbell's latch snapshot holds all seven values.
+  ASSERT_TRUE(port_b_->has_latched_frame());
+  const auto latched = port_b_->pop_latched_frame();
+  for (std::size_t i = 0; i < kHeader.size(); ++i) {
+    EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;
+  }
+  EXPECT_TRUE(port_b_->doorbell_status() & (1u << 3));
+}
+
+TEST_F(NtbPairFixture, PostedBurstWithoutDoorbellRingsNothing) {
+  sim::Dur took = -1;
+  engine_.spawn("p", [&] {
+    const sim::Time t0 = engine_.now();
+    const std::span<const std::uint32_t> three(kHeader.data(), 3);
+    port_a_->post(4, three);
+    took = engine_.now() - t0;
+    EXPECT_EQ(port_b_->read_scratchpad(4), kHeader[0]);
+    EXPECT_EQ(port_b_->read_scratchpad(6), kHeader[2]);
+    EXPECT_THROW(port_a_->post(6, three), std::out_of_range);  // regs 6..8
+  });
+  engine_.run();
+  EXPECT_EQ(took, 3 * PortConfig{}.reg_write);
+  EXPECT_EQ(port_b_->doorbell_status(), 0u);
+}
+
+TEST_F(NtbPairFixture, PostedBurstDrawsFaultsPerRegisterAtTheirLandingTimes) {
+  // The reference values come from the one-wait-per-register model: seven
+  // write_scratchpad calls plus ring_doorbell under the same seeded plan.
+  // The burst must store the same bank, count the same faults and stamp
+  // each draw with its register's own landing time (400 ns per write).
+  sim::FaultSpec spec;
+  spec.scratchpad_corrupt = 0.5;
+  sim::FaultPlan plan(2024, spec);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  plan.bind_tracer(&tracer);
+  engine_.attach_faults(&plan);
+  port_b_->set_latch_bits(1u << 3);
+  engine_.spawn("p", [&] { port_a_->post(0, kHeader, 3); });
+  engine_.run();
+  const std::array<std::uint32_t, kNumScratchpads> want = {
+      0xabf79af6u, 0xaa6c5bd1u, 0x33333333u, 0x345d8c95u,
+      0x55555555u, 0xee639a35u, 0x77777777u, 0x00000000u};
+  ASSERT_TRUE(port_b_->has_latched_frame());
+  EXPECT_EQ(port_b_->pop_latched_frame(), want);
+  EXPECT_EQ(plan.stats().scratchpads_corrupted, 4u);
+  EXPECT_EQ(plan.stats().total(), 4u);
+  ASSERT_EQ(tracer.tracks().size(), 1u);
+  const auto& records = tracer.tracks()[0].records;
+  ASSERT_EQ(records.size(), 4u);
+  const std::array<sim::Time, 4> times = {400, 800, 1600, 2400};
+  const std::array<const char*, 4> details = {
+      "scratchpad corrupt a reg0", "scratchpad corrupt a reg1",
+      "scratchpad corrupt a reg3", "scratchpad corrupt a reg5"};
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].t, times[i]);
+    EXPECT_EQ(tracer.detail(records[i].detail), details[i]);
+  }
+}
+
+TEST_F(NtbPairFixture, LinkDropInsideBurstFailsItAndLandsNothing) {
+  engine_.spawn("flap", [&] {
+    engine_.wait_for(sim::usec(1));  // mid-burst (the burst takes 3.2us)
+    link_->set_up(false);
+  });
+  engine_.spawn("p", [&] {
+    EXPECT_THROW(port_a_->post(0, kHeader, 3), pcie::LinkDownError);
+  });
+  engine_.run();
+  EXPECT_FALSE(port_b_->has_latched_frame());
+  EXPECT_EQ(port_b_->doorbell_status(), 0u);
+  engine_.spawn("check", [&] {
+    for (int i = 0; i < kNumScratchpads; ++i) {
+      EXPECT_EQ(port_b_->read_scratchpad(i), 0u) << "reg " << i;
+    }
+  });
+  engine_.run();
+}
+
+TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
+  PortConfig pc;
+  pc.retry_on_link_down = true;
+  NtbPort a(engine_, *host_a_, "ra", pc);
+  pc.vector_base = 16;
+  NtbPort b(engine_, *host_b_, "rb", pc);
+  pcie::Link link(engine_, "rlink", pcie::gen_lanes(pcie::Gen::kGen3, 8));
+  NtbPort::connect(a, b, link);
+  b.set_latch_bits(1u << 3);
+  engine_.spawn("flap", [&] {
+    engine_.wait_for(sim::usec(1));
+    link.set_up(false);
+    engine_.wait_for(sim::usec(49));
+    link.set_up(true);
+  });
+  sim::Time done = -1;
+  engine_.spawn("p", [&] {
+    a.post(0, kHeader, 3);
+    done = engine_.now();
+  });
+  engine_.run();
+  // The burst ends at 3.2us inside the outage, polls once per retry
+  // interval and lands at the first poll that finds the link retrained.
+  EXPECT_EQ(done, 8 * pc.reg_write + pc.link_retry_interval);
+  ASSERT_TRUE(b.has_latched_frame());
+  const auto latched = b.pop_latched_frame();
+  for (std::size_t i = 0; i < kHeader.size(); ++i) {
+    EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;
+  }
 }
 
 TEST_F(NtbPairFixture, ScratchpadIndexRangeChecked) {
