@@ -24,8 +24,6 @@
 
 namespace ntbshmem::backend {
 
-// Records retained per PE flight ring (power of two: masked indexing).
-inline constexpr std::size_t kFlightRing = 256;
 // Serialized per-PE metrics registry image (counters + histograms of the
 // shm data path; a registry row costs ~name + 40 bytes, a histogram ~name +
 // 560 bytes, so 32 KiB holds hundreds of instruments).
@@ -56,11 +54,10 @@ struct PeControl {
   PeStatus status;
   // The child's exception message (NUL-terminated, truncated to fit).
   char error[192];
-  // Flight ring: the PE's last kFlightRing data-path events (POD records,
-  // one masked store each). The parent replays them into parent-side
-  // obs::FlightRecorders after the run — the post-mortem artifact.
-  std::uint64_t flight_head;
-  obs::FlightRecord flight[kFlightRing];
+  // Flight ring: the PE's last data-path events (one masked store each).
+  // The parent registers it with the obs hub and reads it in place after
+  // the run — the post-mortem artifact.
+  obs::FlightRecorder flight;
   // Metrics outbox: the child's serialized obs::Snapshot (fork gives each
   // child a COW copy of the registry, so this is the only road counter
   // bumps travel back on).

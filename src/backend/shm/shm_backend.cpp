@@ -223,18 +223,13 @@ ShmBackend::ShmBackend(shmem::Runtime& rt)
   seg_ = std::make_unique<Segment>(rt.npes(),
                                    rt.options().symheap_max_bytes);
   arenas_.reserve(static_cast<std::size_t>(rt.npes()));
-  flights_.reserve(static_cast<std::size_t>(rt.npes()));
   for (int pe = 0; pe < rt.npes(); ++pe) {
     arenas_.push_back(std::make_unique<host::MemoryArena>(
         seg_->heap(pe), "pe" + std::to_string(pe) + ".shmheap"));
-    flights_.emplace_back(kFlightRing);
-  }
-  // Parent-side replay targets for the segment flight rings; registering
-  // them here means Runtime::dump_flight covers shm runs too. flights_ is
-  // fully reserved above, so these addresses are stable.
-  for (int pe = 0; pe < rt.npes(); ++pe) {
+    // The children log into their segment rings and the parent reads them
+    // in place, so Runtime::dump_flight covers shm runs too.
     rt.obs().flights.emplace_back("pe" + std::to_string(pe),
-                                  &flights_[static_cast<std::size_t>(pe)]);
+                                  &seg_->pe(pe).flight);
   }
   epoch_ns_ = wall_ns();
 }
@@ -270,7 +265,7 @@ sim::Dur ShmBackend::run(shmem::Runtime& rt,
     PeControl& c = seg_->pe(pe);
     c.status = kPeRunning;
     c.error[0] = '\0';
-    c.flight_head = 0;
+    c.flight.clear();
     c.outbox_len = 0;
     c.outbox_overflow = 0;
   }
@@ -295,7 +290,6 @@ sim::Dur ShmBackend::run(shmem::Runtime& rt,
   }
   watchdog(pids);  // throws on any PE failure (after killing survivors)
   const sim::Time t1 = now_ns();
-  harvest_flight_rings();
   merge_metrics_outboxes();
   return t1 - t0;
 }
@@ -407,7 +401,6 @@ void ShmBackend::watchdog(std::vector<int>& pids) {
       }
     }
   }
-  harvest_flight_rings();
   throw std::runtime_error(describe_failure(reason));
 }
 
@@ -436,21 +429,6 @@ void ShmBackend::kill_and_reap(std::vector<int>& pids) {
   }
 }
 
-void ShmBackend::harvest_flight_rings() {
-  for (int pe = 0; pe < seg_->npes(); ++pe) {
-    const PeControl& c = seg_->pe(pe);
-    obs::FlightRecorder& rec = flights_[static_cast<std::size_t>(pe)];
-    rec.clear();
-    const std::uint64_t head = c.flight_head;
-    const std::uint64_t count =
-        head < kFlightRing ? head : std::uint64_t{kFlightRing};
-    for (std::uint64_t i = head - count; i < head; ++i) {
-      const obs::FlightRecord& r = c.flight[i & (kFlightRing - 1)];
-      rec.log(r.t, static_cast<obs::FlightCode>(r.code), r.a, r.b, r.c);
-    }
-  }
-}
-
 void ShmBackend::merge_metrics_outboxes() {
   for (int pe = 0; pe < seg_->npes(); ++pe) {
     decode_metrics_into(rt_->obs().metrics, seg_->pe(pe));
@@ -462,8 +440,7 @@ std::string ShmBackend::describe_failure(const std::string& reason) {
   out << "shm backend: " << reason << "\n";
   out << "flight recorder (per PE, oldest first):\n";
   for (int pe = 0; pe < seg_->npes(); ++pe) {
-    obs::dump_flight(flights_[static_cast<std::size_t>(pe)],
-                     "pe" + std::to_string(pe), out);
+    obs::dump_flight(seg_->pe(pe).flight, "pe" + std::to_string(pe), out);
   }
   return out.str();
 }
@@ -482,12 +459,6 @@ ShmChannel::ShmChannel(ShmBackend& be, int pe)
   barriers_ = hub.metrics.counter(prefix + "barriers");
   doorbell_wakes_ = hub.metrics.counter(prefix + "doorbell_wakes");
   doorbell_sleeps_ = hub.metrics.counter(prefix + "doorbell_sleeps");
-  track_ = hub.tracer.track("shm", "pe" + std::to_string(pe));
-  cat_ = hub.tracer.category("shm");
-  ev_put_ = hub.tracer.event("put");
-  ev_get_ = hub.tracer.event("get");
-  ev_atomic_ = hub.tracer.event("atomic");
-  ev_barrier_ = hub.tracer.event("barrier");
 }
 
 std::byte* ShmChannel::heap_at(int target_pe, std::uint64_t offset,
@@ -525,13 +496,7 @@ void ShmChannel::check_abort() {
 void ShmChannel::flight(obs::FlightCode code, std::uint16_t a, std::uint32_t b,
                         std::uint64_t c) {
   PeControl& ctl = seg_->pe(pe_);
-  obs::FlightRecord& r = ctl.flight[ctl.flight_head & (kFlightRing - 1)];
-  r.t = be_->now_ns();
-  r.code = static_cast<std::uint16_t>(code);
-  r.a = a;
-  r.b = b;
-  r.c = c;
-  ++ctl.flight_head;
+  ctl.flight.log(be_->now_ns(), code, a, b, c);
   // Every data-path event doubles as a heartbeat for the watchdog.
   ++ctl.heartbeat;
 }
@@ -540,8 +505,6 @@ void ShmChannel::put(std::uint64_t heap_offset, std::span<const std::byte> src,
                      int target_pe, int /*domain*/) {
   if (src.empty()) return;
   std::byte* dst = heap_at(target_pe, heap_offset, src.size(), "shm put");
-  obs::Tracer& tr = be_->runtime().obs().tracer;
-  if (tr.enabled()) tr.begin(track_, cat_, ev_put_, be_->now_ns());
   std::memcpy(dst, src.data(), src.size());
   // Payload visible before any subsequent doorbell/signal store.
   std::atomic_thread_fence(std::memory_order_release);
@@ -550,15 +513,12 @@ void ShmChannel::put(std::uint64_t heap_offset, std::span<const std::byte> src,
   put_bytes_->add(src.size());
   flight(obs::FlightCode::kPut, static_cast<std::uint16_t>(target_pe),
          static_cast<std::uint32_t>(src.size()), heap_offset);
-  if (tr.enabled()) tr.end(track_, cat_, ev_put_, be_->now_ns());
 }
 
 void ShmChannel::get(std::uint64_t heap_offset, std::span<std::byte> dst,
                      int source_pe) {
   if (dst.empty()) return;
   const std::byte* src = heap_at(source_pe, heap_offset, dst.size(), "shm get");
-  obs::Tracer& tr = be_->runtime().obs().tracer;
-  if (tr.enabled()) tr.begin(track_, cat_, ev_get_, be_->now_ns());
   // Pairs with the producers' release fences: everything a previously
   // observed doorbell bump ordered is visible to this copy.
   std::atomic_thread_fence(std::memory_order_acquire);
@@ -567,7 +527,6 @@ void ShmChannel::get(std::uint64_t heap_offset, std::span<std::byte> dst,
   get_bytes_->add(dst.size());
   flight(obs::FlightCode::kGet, static_cast<std::uint16_t>(source_pe),
          static_cast<std::uint32_t>(dst.size()), heap_offset);
-  if (tr.enabled()) tr.end(track_, cat_, ev_get_, be_->now_ns());
 }
 
 void ShmChannel::get_nbi(std::uint64_t heap_offset, std::span<std::byte> dst,
@@ -689,8 +648,6 @@ void ShmChannel::fence() {
 
 void ShmChannel::barrier() {
   check_abort();
-  obs::Tracer& tr = be_->runtime().obs().tracer;
-  if (tr.enabled()) tr.begin(track_, cat_, ev_barrier_, be_->now_ns());
   SegmentHeader& h = seg_->header();
   const std::uint32_t gen = __atomic_load_n(&h.barrier_gen, __ATOMIC_ACQUIRE);
   if (__atomic_add_fetch(&h.barrier_count, 1u, __ATOMIC_ACQ_REL) ==
@@ -723,7 +680,6 @@ void ShmChannel::barrier() {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   barriers_->inc();
   flight(obs::FlightCode::kBarrier, static_cast<std::uint16_t>(pe_));
-  if (tr.enabled()) tr.end(track_, cat_, ev_barrier_, be_->now_ns());
 }
 
 void ShmChannel::wait_heap_change() {

@@ -21,7 +21,6 @@
 #include "backend/shm/segment.hpp"
 #include "host/memory.hpp"
 #include "obs/flight.hpp"
-#include "obs/ids.hpp"
 #include "obs/metrics.hpp"
 
 namespace ntbshmem::backend {
@@ -59,18 +58,13 @@ class ShmBackend : public Backend {
   // dies, exits non-zero, or the deadline passes.
   void watchdog(std::vector<int>& pids);
   void kill_and_reap(std::vector<int>& pids);
-  // Replays segment flight rings into the parent-side recorders and merges
-  // every PE's metrics outbox into the parent registry.
-  void harvest_flight_rings();
+  // Merges every PE's metrics outbox into the parent registry.
   void merge_metrics_outboxes();
   std::string describe_failure(const std::string& reason);
 
   shmem::Runtime* rt_;
   std::unique_ptr<Segment> seg_;
   std::vector<std::unique_ptr<host::MemoryArena>> arenas_;  // one per PE
-  // Parent-side flight recorders ("pe<N>"), registered with the obs hub;
-  // filled by replaying the segment rings after each run.
-  std::vector<obs::FlightRecorder> flights_;
   sim::Time epoch_ns_ = 0;  // CLOCK_MONOTONIC at construction
   std::int64_t timeout_ns_;
 };
@@ -139,15 +133,6 @@ class ShmChannel : public Channel {
   obs::Counter* barriers_;
   obs::Counter* doorbell_wakes_;
   obs::Counter* doorbell_sleeps_;
-  // Wall-clock span tracing (behind tracer.enabled(); note records made in
-  // a forked child stay in that child — flight rings and metrics are the
-  // artifacts that survive the fork).
-  obs::TrackId track_;
-  obs::CategoryId cat_;
-  obs::EventId ev_put_;
-  obs::EventId ev_get_;
-  obs::EventId ev_atomic_;
-  obs::EventId ev_barrier_;
 };
 
 }  // namespace ntbshmem::backend

@@ -111,11 +111,6 @@ struct TimingParams {
   // between the bypass staging buffer, reassembly memory and the symmetric
   // heap).
   double local_copy_Bps = 4.0e9;
-
-  // ---- Derived helpers -----------------------------------------------------
-  // Rough per-32-bit-register cost of writing one control header (6 regs)
-  // plus doorbell; used in docs/tests, not in the model itself.
-  DurationNs control_header_cost() const { return 7 * reg_access; }
 };
 
 // The default-constructed TimingParams reproduces the paper's testbed.

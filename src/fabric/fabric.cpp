@@ -126,36 +126,10 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
   }
 }
 
-int Fabric::right_distance(int from, int to) const {
-  return (checked_i(to) - checked_i(from) + size()) % size();
-}
-
-int Fabric::left_distance(int from, int to) const {
-  return (checked_i(from) - checked_i(to) + size()) % size();
-}
-
-Route Fabric::route(int from, int to, RoutingMode mode) const {
-  const int rd = right_distance(from, to);
-  if (rd == 0) return Route{Direction::kRight, 0};
-  switch (mode) {
-    case RoutingMode::kRightOnly:
-      return Route{Direction::kRight, rd};
-    case RoutingMode::kShortest: {
-      const int ld = left_distance(from, to);
-      if (ld < rd) return Route{Direction::kLeft, ld};
-      return Route{Direction::kRight, rd};
-    }
-    case RoutingMode::kDimensionOrder:
-      throw std::logic_error(
-          "Fabric::route is ring-only; use routing(kDimensionOrder)");
-  }
-  throw std::logic_error("unknown routing mode");
-}
-
 const RoutingTable& Fabric::routing(RoutingMode mode) const {
   auto& slot = tables_.at(static_cast<std::size_t>(mode));
   if (!slot.has_value()) {
-    slot = RoutingTable::build(topology_, mode, config_.route_tiebreak_seed);
+    slot = RoutingTable::build(topology_, mode);
     if (obs::Hub* hub = engine_.obs()) {
       hub->metrics
           .gauge(std::string("fabric.routing.") + mode_slug(mode) +

@@ -45,9 +45,6 @@ struct FabricConfig {
   // Ports block for link retraining instead of failing fast (see
   // ntb::PortConfig::retry_on_link_down).
   bool resilient_links = false;
-  // Perturbs shortest-path tie-breaks (see RoutingTable::build). 0 keeps
-  // the legacy lowest-port preference (ring: ties go right).
-  std::uint64_t route_tiebreak_seed = 0;
 };
 
 class Fabric {
@@ -97,18 +94,12 @@ class Fabric {
   int left_neighbor(int id) const {
     return (checked_i(id) + size() - 1) % size();
   }
-  int right_distance(int from, int to) const;
-  int left_distance(int from, int to) const;
-
-  // Legacy ring route (Direction + hop count); only meaningful on
-  // ring-like topologies — generic code should use routing() instead.
-  Route route(int from, int to, RoutingMode mode) const;
 
   // --- Table-driven routing ------------------------------------------
-  // Precomputed (and cached) routing table for `mode`, built with the
-  // configured tie-break seed. Building is pure computation: no simulated
-  // time passes and no events are queued, so lazy construction is
-  // schedule-neutral.
+  // Precomputed (and cached) routing table for `mode` (shortest-path ties
+  // go to the lowest port index: on a ring, right). Building is pure
+  // computation: no simulated time passes and no events are queued, so
+  // lazy construction is schedule-neutral.
   const RoutingTable& routing(RoutingMode mode) const;
 
  private:

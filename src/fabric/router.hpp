@@ -31,13 +31,6 @@ enum class RoutingMode : int {
   kDimensionOrder,  // torus: X fully before Y, wrap-free (deadlock-free)
 };
 
-// Legacy ring route, kept for the paper-faithful ring surface (Fabric's
-// ring accessors and the ring tests).
-struct Route {
-  Direction dir = Direction::kRight;
-  int hops = 0;
-};
-
 // Next egress port + remaining hop count for one (src, dst) pair.
 struct PortRoute {
   int port = -1;

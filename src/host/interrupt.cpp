@@ -60,7 +60,6 @@ void InterruptController::deliver(int vector) {
   }
   engine_.call_after(isr_latency_ + dispatch_cost_ + extra, [this, vector] {
     const auto& handler = handlers_[static_cast<std::size_t>(vector)];
-    ++delivered_;
     obs_delivered_->inc();
     if (handler) handler(vector);
   });

@@ -47,9 +47,6 @@ class InterruptController {
   bool masked(int vector) const;
   bool pending(int vector) const;
 
-  // Total deliveries that reached a handler (diagnostics/tests).
-  std::uint64_t delivered_count() const { return delivered_; }
-
  private:
   void check_vector(int vector) const;
   void deliver(int vector);
@@ -63,7 +60,6 @@ class InterruptController {
   // of doorbell vectors).
   std::vector<std::uint8_t> mask_flags_;
   std::vector<std::uint8_t> pending_flags_;
-  std::uint64_t delivered_ = 0;
 
   // Observability (null instruments without an attached hub).
   obs::Counter* obs_raised_ = obs::MetricsRegistry::null_counter();

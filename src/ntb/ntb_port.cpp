@@ -155,7 +155,6 @@ bool NtbPort::dma_write(int idx, std::uint64_t off,
                 src.size(), config_.dma_rate_Bps);
   auto dst = w.peer_host->memory().bytes(w.region, off, src.size());
   std::memcpy(dst.data(), src.data(), src.size());
-  dma_bytes_written_ += src.size();
   obs_dma_bytes_->add(src.size());
   obs_dma_sizes_->record(src.size());
   if (span_id != 0) {

@@ -200,9 +200,6 @@ class NtbPort {
   double dma_rate() const { return config_.dma_rate_Bps; }
   void set_dma_rate(double rate) { config_.dma_rate_Bps = rate; }
 
-  // Diagnostics.
-  std::uint64_t dma_bytes_written() const { return dma_bytes_written_; }
-
   // FNV hash of the port's protocol-visible register state: ScratchPad
   // bank, doorbell status, latched-frame FIFO (bit + snapshot), DMA error
   // latch. Model-checker introspection (DESIGN.md §4i); excludes timing and
@@ -259,7 +256,6 @@ class NtbPort {
   obs::TraceCtx pending_ctx_;      // staged for the next latched data frame
   std::uint16_t ctx_bits_ = 0xffff;  // doorbell bits that consume it
   bool dma_error_latched_ = false;
-  std::uint64_t dma_bytes_written_ = 0;
 
   // Observability: ids/instruments cached at construction from the engine's
   // obs::Hub. tracer_ stays null without a hub; the counters point at the

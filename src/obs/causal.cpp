@@ -97,71 +97,42 @@ sim::Time end_of(const CausalSpan& s) {
 
 }  // namespace
 
-CriticalPath critical_path(const CausalRecorder& rec, std::uint64_t root_id) {
-  CriticalPath cp;
-  const CausalSpan* root = rec.find(root_id);
-  if (root == nullptr) return cp;
-  cp.root = root_id;
-
-  // The latest-ending descendant bounds when the operation's effects were
-  // complete; ties break toward the smallest id (allocation order) so the
-  // extraction is deterministic. Spans are id-ordered and parents precede
-  // children, so one forward pass finds every descendant.
-  const auto& spans = rec.spans();
-  std::vector<bool> in_tree(spans.size() + 1, false);
-  in_tree[root_id] = true;
-  std::uint64_t leaf = root_id;
-  sim::Time leaf_end = end_of(*root);
-  for (const CausalSpan& s : spans) {
-    if (s.id == root_id) continue;
-    if (s.parent == 0 || s.parent >= s.id || !in_tree[s.parent]) continue;
-    in_tree[s.id] = true;
-    const sim::Time e = end_of(s);
-    if (e > leaf_end) {
-      leaf_end = e;
-      leaf = s.id;
-    }
-  }
-  cp.leaf = leaf;
-  cp.total = std::max<sim::Dur>(0, leaf_end - root->t0);
-
-  // Chain from leaf to root via parent pointers, then attribute exclusive
-  // time with a back-walk: each span owns the part of [its start, cursor]
-  // not already claimed by its on-chain descendant.
-  std::vector<std::uint64_t> chain;  // leaf -> root
-  for (std::uint64_t id = leaf; id != 0;) {
-    chain.push_back(id);
-    const CausalSpan* s = rec.find(id);
-    id = (s == nullptr || id == root_id) ? 0 : s->parent;
-  }
-  sim::Time cursor = leaf_end;
-  std::vector<PathEdge> edges;  // built leaf -> root, reversed at the end
-  for (const std::uint64_t id : chain) {
-    const CausalSpan& s = *rec.find(id);
-    PathEdge e;
-    e.span = id;
-    e.kind = s.kind;
-    e.dur = std::max<sim::Dur>(0, cursor - s.t0);
-    cursor = std::min(cursor, s.t0);
-    edges.push_back(e);
-  }
-  cp.edges.assign(edges.rbegin(), edges.rend());
-  return cp;
-}
-
 std::vector<FamilyBreakdown> critical_path_by_family(
     const CausalRecorder& rec) {
+  // Spans are id-ordered and parents precede children, so one forward pass
+  // gives every span its op root and every root its latest-ending span.
+  const auto& spans = rec.spans();
+  std::vector<std::uint64_t> root_of(spans.size() + 1, 0);  // 0: no op root
+  std::vector<std::uint64_t> leaf_of(spans.size() + 1, 0);  // by root id
+  for (const CausalSpan& s : spans) {
+    if (s.parent == 0) {
+      if (s.kind == SpanKind::kOp) root_of[s.id] = leaf_of[s.id] = s.id;
+      continue;
+    }
+    if (s.parent >= s.id) continue;
+    const std::uint64_t root = root_of[s.parent];
+    if (root == 0) continue;
+    root_of[s.id] = root;
+    if (end_of(s) > end_of(*rec.find(leaf_of[root]))) leaf_of[root] = s.id;
+  }
+
   std::map<std::string, FamilyBreakdown> by_family;
-  for (const CausalSpan& s : rec.spans()) {
-    if (s.parent != 0 || s.kind != SpanKind::kOp) continue;
-    const CriticalPath cp = critical_path(rec, s.id);
-    FamilyBreakdown& fb = by_family[op_family_name(s.a)];
-    if (fb.family.empty()) fb.family = op_family_name(s.a);
+  for (const CausalSpan& root : spans) {
+    if (root.parent != 0 || root.kind != SpanKind::kOp) continue;
+    FamilyBreakdown& fb = by_family[op_family_name(root.a)];
+    if (fb.family.empty()) fb.family = op_family_name(root.a);
     fb.traces += 1;
-    fb.total_ns += static_cast<std::uint64_t>(cp.total);
-    for (const PathEdge& e : cp.edges) {
-      fb.edge_ns[span_kind_name(e.kind)] +=
-          static_cast<std::uint64_t>(e.dur);
+    // Walk the chain leaf -> root; each span owns the part of [its start,
+    // cursor] not already claimed by its on-chain descendant.
+    const CausalSpan* s = rec.find(leaf_of[root.id]);
+    const sim::Time leaf_end = end_of(*s);
+    fb.total_ns += static_cast<std::uint64_t>(
+        std::max<sim::Dur>(0, leaf_end - root.t0));
+    for (sim::Time cursor = leaf_end;; s = rec.find(s->parent)) {
+      fb.edge_ns[span_kind_name(s->kind)] +=
+          static_cast<std::uint64_t>(std::max<sim::Dur>(0, cursor - s->t0));
+      cursor = std::min(cursor, s->t0);
+      if (s->id == root.id) break;
     }
   }
   std::vector<FamilyBreakdown> out;

@@ -18,11 +18,11 @@
 // (a zero-cost adapter sidecar on NtbPort), so the disabled path adds no
 // header bytes and no register writes.
 //
-// Offline consumers: critical_path() extracts the longest cause chain of a
-// tree with per-edge attribution (credit stall vs DMA vs IRQ delay vs
-// retransmit); critical_path_by_family() aggregates that per op family for
-// the ntbshmem-slo-v1 artifact; tools/tracecheck asserts causal invariants
-// over the exported ntbshmem-trace-v1 JSON.
+// Offline consumers: critical_path_by_family() extracts each tree's longest
+// cause chain with per-edge attribution (credit stall vs DMA vs IRQ delay
+// vs retransmit) and aggregates it per op family for the ntbshmem-slo-v1
+// artifact; tools/tracecheck asserts causal invariants over the exported
+// ntbshmem-trace-v1 JSON.
 #pragma once
 
 #include <cstdint>
@@ -120,25 +120,6 @@ class CausalRecorder {
 
 // ---- Critical-path extraction ----------------------------------------------
 
-struct PathEdge {
-  std::uint64_t span = 0;
-  SpanKind kind = SpanKind::kOp;
-  sim::Dur dur = 0;  // wall share of the chain attributed to this span
-};
-
-struct CriticalPath {
-  std::uint64_t root = 0;
-  std::uint64_t leaf = 0;   // descendant whose end time bounds the tree
-  sim::Dur total = 0;       // leaf end - root start
-  std::vector<PathEdge> edges;  // root -> leaf order
-};
-
-// Longest cause chain of the tree rooted at `root_id`: the chain from the
-// root to the latest-ending descendant, with each span attributed the part
-// of the chain's wall time not already covered by its on-chain descendants
-// (an exclusive-time back-walk; open spans count as zero-length).
-CriticalPath critical_path(const CausalRecorder& rec, std::uint64_t root_id);
-
 struct FamilyBreakdown {
   std::string family;        // "put" | "get" | "atomic" | "barrier"
   std::uint64_t traces = 0;  // number of root spans aggregated
@@ -147,8 +128,14 @@ struct FamilyBreakdown {
   std::map<std::string, std::uint64_t> edge_ns;
 };
 
-// Critical paths of every root span, aggregated per op family; families
-// sorted by name. Empty when the recorder saw no roots.
+// Critical paths of every op root, aggregated per op family; families
+// sorted by name. Empty when the recorder saw no roots. A root's critical
+// path is the chain from the root to its latest-ending descendant (ties go
+// to the lower span id), and each span on it is attributed the part of the
+// chain's wall time not already covered by its on-chain descendant (an
+// exclusive-time back-walk; open spans count as zero-length). One pass over
+// the id-ordered spans finds every root's chain, so the cost is linear in
+// the spans plus the chain lengths.
 std::vector<FamilyBreakdown> critical_path_by_family(const CausalRecorder& rec);
 
 }  // namespace ntbshmem::obs

@@ -26,21 +26,12 @@ const char* flight_code_name(FlightCode code) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  if (capacity == 0) capacity = 512;
-  std::size_t pow2 = 1;
-  while (pow2 < capacity) pow2 <<= 1;
-  ring_.resize(pow2);
-  mask_ = pow2 - 1;
-}
-
 std::vector<FlightRecord> FlightRecorder::recent() const {
+  const std::uint64_t n = head_ < kCapacity ? head_ : kCapacity;
   std::vector<FlightRecord> out;
-  const std::uint64_t n =
-      head_ < ring_.size() ? head_ : static_cast<std::uint64_t>(ring_.size());
   out.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = head_ - n; i < head_; ++i) {
-    out.push_back(ring_[static_cast<std::size_t>(i) & mask_]);
+    out.push_back(ring_[static_cast<std::size_t>(i) & (kCapacity - 1)]);
   }
   return out;
 }

@@ -11,11 +11,20 @@
 // FlightCode, and three untyped operands whose meaning is per-code (see the
 // table in DESIGN.md §4h). dump_flight() renders a ring human-readably,
 // oldest first, with the drop count of everything the ring evicted.
+//
+// The ring is one fixed-size, trivially copyable object, so the same type
+// serves both backends: the sim transport embeds one per host, and the shm
+// backend embeds one per PE in its shared segment, where a zero-filled
+// mapping already holds an empty ring and the parent reads the children's
+// rings in place after the run.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -57,13 +66,12 @@ static_assert(sizeof(FlightRecord) == 24, "flight records must stay compact");
 
 class FlightRecorder {
  public:
-  // Capacity is rounded up to a power of two (masked indexing on the hot
-  // path); 0 asks for the 512-record default.
-  explicit FlightRecorder(std::size_t capacity = 512);
+  // Records retained (power of two: masked indexing on the hot path).
+  static constexpr std::size_t kCapacity = 512;
 
   void log(sim::Time t, FlightCode code, std::uint16_t a = 0,
            std::uint32_t b = 0, std::uint64_t c = 0) {
-    FlightRecord& r = ring_[static_cast<std::size_t>(head_) & mask_];
+    FlightRecord& r = ring_[static_cast<std::size_t>(head_) & (kCapacity - 1)];
     r.t = t;
     r.code = static_cast<std::uint16_t>(code);
     r.a = a;
@@ -75,14 +83,14 @@ class FlightRecorder {
   // Retained records, oldest first.
   std::vector<FlightRecord> recent() const;
   std::uint64_t total() const { return head_; }
-  std::size_t capacity() const { return ring_.size(); }
   void clear() { head_ = 0; }
 
  private:
-  std::vector<FlightRecord> ring_;
-  std::uint64_t mask_ = 0;
   std::uint64_t head_ = 0;  // total records ever logged
+  std::array<FlightRecord, kCapacity> ring_{};
 };
+static_assert(std::is_trivially_copyable_v<FlightRecorder>,
+              "flight rings live in shared memory");
 
 // Human-readable dump: one "[t=...ns] code a=%u b=%u c=%llu" line per
 // retained record, oldest first, headed by `name` and the evicted count.

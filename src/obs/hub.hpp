@@ -20,10 +20,11 @@ struct Hub {
   Tracer tracer;
   MetricsRegistry metrics;
   CausalRecorder causal;
-  // Flight recorders registered by their owners (one per host transport,
-  // registration order = host order, so iteration is deterministic). The
-  // hub does not own them; owners outlive the hub's last dump because the
-  // Runtime declares the hub before the transports.
+  // Flight recorders registered by their owners (one per host transport on
+  // the sim backend, one segment ring per PE on shm; registration order =
+  // host or PE order, so iteration is deterministic). The hub does not own
+  // them; owners outlive the hub's last dump because the Runtime declares
+  // the hub before the transports and the backend.
   std::vector<std::pair<std::string, const FlightRecorder*>> flights;
 };
 

@@ -119,9 +119,6 @@ struct ObsOptions {
   // arrows on the span timeline. Off by default: the TraceCtx sidecar adds
   // no wire bytes and no virtual time either way, but recording allocates.
   bool causal_enabled = false;
-  // Per-host flight-recorder ring size (always on; rounded up to a power
-  // of two). 0 picks the 512-record default.
-  std::size_t flight_capacity = 512;
 };
 
 struct RuntimeOptions {
@@ -185,11 +182,6 @@ struct RuntimeOptions {
   bool schedule_digest = false;
   std::uint64_t schedule_tiebreak_seed = 0;
 
-  // Routing-table tie-break seed (see fabric::RoutingTable::build): 0
-  // keeps the legacy lowest-port preference; any other value perturbs
-  // which of several equally short egress ports wins, deterministically.
-  std::uint64_t route_tiebreak_seed = 0;
-
   int num_hosts() const {
     return pes_per_host > 0 ? npes / pes_per_host : 0;
   }
@@ -202,7 +194,6 @@ struct RuntimeOptions {
     cfg.host_memory_bytes = host_memory_bytes;
     cfg.link_dma_rates_Bps = link_dma_rates_Bps;
     cfg.resilient_links = resilient_links;
-    cfg.route_tiebreak_seed = route_tiebreak_seed;
     return cfg;
   }
 };

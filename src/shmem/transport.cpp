@@ -126,9 +126,7 @@ class Transport::Step {
 };
 
 Transport::Transport(Runtime& runtime, int host_id)
-    : runtime_(runtime),
-      host_id_(host_id),
-      flight_(runtime.options().obs.flight_capacity) {
+    : runtime_(runtime), host_id_(host_id) {
   sim::Engine& engine = runtime_.engine();
   const std::string prefix = "host" + std::to_string(host_id_);
   host::MemoryArena& arena = fabric().host(host_id_).memory();
@@ -464,8 +462,6 @@ void Transport::on_ack(int p) {
 
 void Transport::retire_acked(int p, std::uint8_t acked) {
   TxChannel& ch = channel(p);
-  const sim::Time now = runtime_.engine().now();
-  bool any = false;
   // Cumulative: everything at or before `acked` (signed 8-bit distance; the
   // in-flight window is bounded by tx_credits, far below 128).
   while (!ch.inflight.empty() &&
@@ -474,14 +470,10 @@ void Transport::retire_acked(int p, std::uint8_t acked) {
     ch.inflight.pop_front();
     end_frame_span(p, rec);
     rec.retx_timer.cancel();
-    ch.rel.ack_latency_ns.add(static_cast<double>(now - rec.emitted_at));
-    ++ch.rel.acks_matched;
     ch.free_slots.push_back(rec.stage_slot);
     ch.slot.release();
     if (rec.counts_as_delivery) note_delivery_completed(rec.delivery_domain);
-    any = true;
   }
-  if (!any) ++ch.rel.stale_acks;
 }
 
 void Transport::track_delivery(int domain, std::uint32_t op_id) {
@@ -585,7 +577,6 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
     // Re-find by seq: acks for earlier frames may have popped the deque
     // while post_frame blocked on its register burst.
     if (TxChannel::InFlight* r = find_inflight(ch, rec.seq)) {
-      r->emitted_at = runtime_.engine().now();
       arm_retx_timer(p, *r);
     }
   }
@@ -634,7 +625,6 @@ void Transport::on_ack_timeout(int p, std::uint8_t seq) {
   TxChannel& ch = channel(p);
   TxChannel::InFlight* rec = find_inflight(ch, seq);
   if (rec == nullptr) return;  // ack won the race
-  ++ch.rel.ack_timeouts;
   ++stats_.ack_timeouts;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kAckTimeout,
               static_cast<std::uint16_t>(p),
@@ -647,7 +637,6 @@ void Transport::on_nak(int p) {
   // The receiver rejected a frame (checksum or order); go-back-N resends
   // from the oldest unacknowledged frame.
   TxChannel& ch = channel(p);
-  ++ch.rel.naks_received;
   ++stats_.naks_received;
   if (ch.inflight.empty()) return;  // everything already acked: stale NAK
   const std::uint8_t seq = ch.inflight.front().seq;
@@ -684,7 +673,6 @@ void Transport::retransmit(int p, std::uint8_t seq) {
   }
   rec->retx_timer.cancel();
   ++rec->retries;
-  ++ch.rel.retransmits;
   ++stats_.retransmits;
   flight_.log(runtime_.engine().now(), obs::FlightCode::kRetransmit,
               static_cast<std::uint16_t>(p),

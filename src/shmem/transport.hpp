@@ -72,7 +72,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "fabric/fabric.hpp"
 #include "obs/hub.hpp"
 #include "shmem/message.hpp"
@@ -196,20 +195,6 @@ class Transport {
   const TransportStats& stats() const { return stats_; }
   int host_id() const { return host_id_; }
 
-  // Per-TX-channel reliability counters and ack-latency distribution;
-  // meaningful only with reliability enabled.
-  struct ChannelReliability {
-    std::uint64_t retransmits = 0;
-    std::uint64_t ack_timeouts = 0;
-    std::uint64_t naks_received = 0;
-    std::uint64_t acks_matched = 0;  // in-flight records retired by acks
-    std::uint64_t stale_acks = 0;    // cumulative acks that retired nothing
-    RunningStats ack_latency_ns;  // emission -> retiring ack
-  };
-  // By adapter/port index (port p talks to topology().port(host, p).peer).
-  const ChannelReliability& channel_reliability(int port) const {
-    return tx_.at(static_cast<std::size_t>(port))->rel;
-  }
   // Staging buffer for frames arriving through adapter `in_port` (the
   // bypass buffer of paper Fig. 4; written by that port's peer host).
   host::Region staging_in(int in_port) const {
@@ -281,7 +266,6 @@ class Transport {
       int doorbell = 0;
       int retries = 0;
       FrameHeader hdr;
-      sim::Time emitted_at = 0;
       sim::CallbackHandle retx_timer;
       // Async-span id of the frame's lifetime on the exported timeline
       // (emission -> retiring ack); 0 when tracing is off.
@@ -296,7 +280,6 @@ class Transport {
     };
     std::deque<InFlight> inflight;  // emission order; ACKs pop the front
     std::uint8_t next_seq = 0;      // reliability: next sequence to assign
-    ChannelReliability rel;
   };
 
   enum class RxTokenKind : std::uint8_t {

@@ -35,8 +35,6 @@ std::shared_ptr<Completion> BandwidthResource::transfer_async(
   }
   // Bring existing flows up to date before the new arrival changes rates.
   update();
-  if (flows_.empty()) busy_since_ = engine_.now();
-  total_bytes_ += bytes;
   flows_.push_back(Flow{static_cast<double>(bytes), flow_cap_Bps, 0.0,
                         completion});
   recompute_rates();
@@ -58,7 +56,6 @@ void BandwidthResource::update() {
       f.remaining = std::max(0.0, f.remaining - f.rate * dt);
     }
   }
-  const bool was_busy = !flows_.empty();
   for (auto it = flows_.begin(); it != flows_.end();) {
     if (it->remaining < kEpsilonBytes) {
       it->completion->done = true;
@@ -68,15 +65,6 @@ void BandwidthResource::update() {
       ++it;
     }
   }
-  if (was_busy && flows_.empty()) {
-    busy_accum_ += engine_.now() - busy_since_;
-  }
-}
-
-sim::Dur BandwidthResource::busy_time() const {
-  Dur t = busy_accum_;
-  if (!flows_.empty()) t += engine_.now() - busy_since_;
-  return t;
 }
 
 void BandwidthResource::recompute_rates() {
@@ -126,25 +114,6 @@ void BandwidthResource::arm_timer() {
     recompute_rates();
     arm_timer();
   });
-}
-
-double BandwidthResource::current_share_Bps() const {
-  // Hypothetical share of a new uncapped flow: capacity divided among the
-  // current flows plus one, respecting existing caps below that share.
-  double pool = capacity_;
-  std::vector<double> caps;
-  caps.reserve(flows_.size());
-  for (const auto& f : flows_) caps.push_back(f.cap);
-  std::sort(caps.begin(), caps.end());
-  std::size_t remaining = caps.size() + 1;
-  for (double cap : caps) {
-    const double share = pool / static_cast<double>(remaining);
-    if (cap <= share) {
-      pool -= cap;
-      --remaining;
-    }
-  }
-  return pool / static_cast<double>(remaining);
 }
 
 }  // namespace ntbshmem::sim

@@ -61,28 +61,7 @@ class BandwidthResource {
                                              double flow_cap_Bps = kUncapped);
 
   double capacity_Bps() const { return capacity_; }
-  std::size_t active_flows() const { return flows_.size(); }
   const std::string& name() const { return name_; }
-
-  // ---- Utilization accounting -----------------------------------------------
-  // Total bytes ever admitted and the virtual time during which at least
-  // one flow was active. utilization(window) = busy_time / window.
-  std::uint64_t total_bytes() const { return total_bytes_; }
-  Dur busy_time() const;
-  double utilization(Dur window) const {
-    return window > 0 ? sim::to_seconds(busy_time()) / sim::to_seconds(window)
-                      : 0.0;
-  }
-  // Average throughput over `window` as a fraction of capacity.
-  double load_factor(Dur window) const {
-    if (window <= 0) return 0.0;
-    return static_cast<double>(total_bytes_) /
-           (capacity_ * sim::to_seconds(window));
-  }
-
-  // Instantaneous fair-share rate a new uncapped flow would get right now
-  // (diagnostic; used by tests).
-  double current_share_Bps() const;
 
  private:
   struct Flow {
@@ -104,9 +83,6 @@ class BandwidthResource {
   Time last_update_ = 0;
   std::list<Flow> flows_;
   CallbackHandle timer_;
-  std::uint64_t total_bytes_ = 0;
-  Dur busy_accum_ = 0;
-  Time busy_since_ = 0;  // valid while flows_ nonempty
 };
 
 }  // namespace ntbshmem::sim

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/log.hpp"
 #include "sim/branch.hpp"
 #include "sim/event.hpp"
 
@@ -86,17 +85,9 @@ void CallbackHandle::cancel() {
 
 // ---- Engine ----------------------------------------------------------------
 
-Engine::Engine() : fiber_stack_bytes_(Fiber::default_stack_bytes()) {
-  // Log lines carry the virtual clock while this engine exists, so printf
-  // debugging correlates with trace/metric timestamps. The owner token keeps
-  // a dying engine from clobbering a newer one's registration.
-  set_log_time_source(this, [this] { return static_cast<long long>(now_); });
-}
+Engine::Engine() : fiber_stack_bytes_(Fiber::default_stack_bytes()) {}
 
-Engine::~Engine() {
-  shutdown();
-  clear_log_time_source(this);
-}
+Engine::~Engine() { shutdown(); }
 
 Process& Engine::spawn(std::string name, std::function<void()> body,
                        bool daemon) {

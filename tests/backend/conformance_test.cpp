@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/kind.hpp"
@@ -322,6 +325,52 @@ TEST(BackendConformance, WaitUntilObservesRemoteWrite) {
     shmem_free(flag);
     shmem_finalize();
   });
+}
+
+// ---- Flight recorder: one ring type on both backends -----------------------
+
+// The first ring's header line of a Runtime::dump_flight, parsed into
+// {retained, evicted}; {0, 0} (and a test failure) if it does not parse.
+std::pair<unsigned long long, unsigned long long> first_ring_counts(
+    const std::string& dump) {
+  const std::string head = dump.substr(0, dump.find('\n'));
+  unsigned long long retained = 0;
+  unsigned long long evicted = 0;
+  if (std::sscanf(head.c_str(),
+                  "=== flight recorder %*[^:]: %llu records retained, "
+                  "%llu evicted",
+                  &retained, &evicted) != 2) {
+    ADD_FAILURE() << "unparsable flight dump header: " << head;
+  }
+  return {retained, evicted};
+}
+
+TEST(BackendConformance, FlightDumpCountsEvictionsOnBothBackends) {
+  // PE 0 logs at least one record per put, so 1,000 puts overflow its
+  // 512-record ring; the dump must say how many records it lost.
+  constexpr unsigned long long kPuts = 1000;
+  for (const Kind kind : {Kind::kSim, Kind::kShm}) {
+    Runtime rt(options_for(kind, 2));
+    rt.run([] {
+      shmem_init();
+      auto* word =
+          static_cast<std::uint64_t*>(shmem_malloc(sizeof(std::uint64_t)));
+      shmem_barrier_all();
+      if (shmem_my_pe() == 0) {
+        for (std::uint64_t i = 0; i < kPuts; ++i) {
+          shmem_putmem(word, &i, sizeof(i), 1);
+        }
+      }
+      shmem_barrier_all();
+      shmem_free(word);
+      shmem_finalize();
+    });
+    std::ostringstream dump;
+    rt.dump_flight(dump);
+    const auto [retained, evicted] = first_ring_counts(dump.str());
+    EXPECT_EQ(retained, 512u) << kind_name(kind);
+    EXPECT_GE(retained + evicted, kPuts) << kind_name(kind);
+  }
 }
 
 // ---- Acceptance gate: the KV scenario at scale ------------------------------

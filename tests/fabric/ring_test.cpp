@@ -1,4 +1,5 @@
-// Ring fabric construction, routing math and cross-host data movement.
+// Fabric construction on the default (ring) topology, ring routing tables
+// and cross-host data movement.
 #include "fabric/fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@ FabricConfig small_config(int n) {
   return cfg;
 }
 
-TEST(RingFabricTest, BuildsRequestedSize) {
+TEST(FabricTest, BuildsRequestedSize) {
   for (int n : {2, 3, 4, 5, 8}) {
     sim::Engine engine;
     Fabric ring(engine, small_config(n));
@@ -29,13 +30,13 @@ TEST(RingFabricTest, BuildsRequestedSize) {
   }
 }
 
-TEST(RingFabricTest, RejectsDegenerateSize) {
+TEST(FabricTest, RejectsDegenerateSize) {
   sim::Engine engine;
   EXPECT_THROW(Fabric(engine, small_config(1)), std::invalid_argument);
   EXPECT_THROW(Fabric(engine, small_config(0)), std::invalid_argument);
 }
 
-TEST(RingFabricTest, PortsAreWiredAsARing) {
+TEST(FabricTest, PortsAreWiredAsARing) {
   sim::Engine engine;
   Fabric ring(engine, small_config(4));
   for (int i = 0; i < 4; ++i) {
@@ -46,43 +47,44 @@ TEST(RingFabricTest, PortsAreWiredAsARing) {
   }
 }
 
-TEST(RingFabricTest, NeighborsAndDistances) {
+TEST(FabricTest, NeighborsAndDistances) {
   sim::Engine engine;
   Fabric ring(engine, small_config(5));
   EXPECT_EQ(ring.right_neighbor(4), 0);
   EXPECT_EQ(ring.left_neighbor(0), 4);
-  EXPECT_EQ(ring.right_distance(0, 3), 3);
-  EXPECT_EQ(ring.left_distance(0, 3), 2);
-  EXPECT_EQ(ring.right_distance(2, 2), 0);
+  const RoutingTable& right_only = ring.routing(RoutingMode::kRightOnly);
+  EXPECT_EQ(right_only.hops(0, 3), 3);           // rightward: 0 -> 1 -> 2 -> 3
+  EXPECT_EQ(right_only.response_hops(0, 3), 2);  // leftward: 0 -> 4 -> 3
+  EXPECT_EQ(ring.routing(RoutingMode::kShortest).hops(0, 3), 2);
 }
 
-TEST(RingFabricTest, RightOnlyRoutingAlwaysGoesRight) {
+TEST(FabricTest, RightOnlyRoutingAlwaysGoesRight) {
   sim::Engine engine;
   Fabric ring(engine, small_config(5));
   // Even when left would be shorter.
-  const Route r = ring.route(0, 4, RoutingMode::kRightOnly);
-  EXPECT_EQ(r.dir, Direction::kRight);
-  EXPECT_EQ(r.hops, 4);
+  const RoutingTable& table = ring.routing(RoutingMode::kRightOnly);
+  EXPECT_EQ(table.next_port(0, 4), static_cast<int>(Direction::kRight));
+  EXPECT_EQ(table.hops(0, 4), 4);
 }
 
-TEST(RingFabricTest, ShortestRoutingPicksNearerSideTiesGoRight) {
+TEST(FabricTest, ShortestRoutingPicksNearerSideTiesGoRight) {
   sim::Engine engine;
   Fabric ring(engine, small_config(4));
-  const Route left = ring.route(0, 3, RoutingMode::kShortest);
-  EXPECT_EQ(left.dir, Direction::kLeft);
-  EXPECT_EQ(left.hops, 1);
-  const Route tie = ring.route(0, 2, RoutingMode::kShortest);
-  EXPECT_EQ(tie.dir, Direction::kRight);
-  EXPECT_EQ(tie.hops, 2);
+  const RoutingTable& table = ring.routing(RoutingMode::kShortest);
+  EXPECT_EQ(table.next_port(0, 3), static_cast<int>(Direction::kLeft));
+  EXPECT_EQ(table.hops(0, 3), 1);
+  EXPECT_EQ(table.next_port(0, 2), static_cast<int>(Direction::kRight));
+  EXPECT_EQ(table.hops(0, 2), 2);
 }
 
-TEST(RingFabricTest, ZeroHopRouteForSelf) {
+TEST(FabricTest, ZeroHopRouteForSelf) {
   sim::Engine engine;
   Fabric ring(engine, small_config(3));
-  EXPECT_EQ(ring.route(1, 1, RoutingMode::kRightOnly).hops, 0);
+  EXPECT_EQ(ring.routing(RoutingMode::kRightOnly).hops(1, 1), 0);
+  EXPECT_EQ(ring.routing(RoutingMode::kShortest).hops(1, 1), 0);
 }
 
-TEST(RingFabricTest, PerLinkDmaRateSpreadApplied) {
+TEST(FabricTest, PerLinkDmaRateSpreadApplied) {
   sim::Engine engine;
   FabricConfig cfg = small_config(3);
   cfg.link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
@@ -94,7 +96,7 @@ TEST(RingFabricTest, PerLinkDmaRateSpreadApplied) {
   EXPECT_DOUBLE_EQ(ring.left_port(1).dma_rate(), 3.0e9);
 }
 
-TEST(RingFabricTest, DataMovesBetweenNeighborsThroughWindows) {
+TEST(FabricTest, DataMovesBetweenNeighborsThroughWindows) {
   sim::Engine engine;
   Fabric ring(engine, small_config(3));
   auto region = ring.host(1).memory().allocate(4096);
@@ -111,7 +113,7 @@ TEST(RingFabricTest, DataMovesBetweenNeighborsThroughWindows) {
   EXPECT_EQ(std::memcmp(got.data(), data.data(), data.size()), 0);
 }
 
-TEST(RingFabricTest, FaultInjectionDownsOneLinkOnly) {
+TEST(FabricTest, FaultInjectionDownsOneLinkOnly) {
   sim::Engine engine;
   Fabric ring(engine, small_config(3));
   ring.set_link_up(0, false);
@@ -121,7 +123,7 @@ TEST(RingFabricTest, FaultInjectionDownsOneLinkOnly) {
   EXPECT_TRUE(ring.link(0).up());
 }
 
-TEST(RingFabricTest, RingOfTwoHasTwoDistinctLinks) {
+TEST(FabricTest, RingOfTwoHasTwoDistinctLinks) {
   sim::Engine engine;
   Fabric ring(engine, small_config(2));
   // host0.right <-> host1.left over link0; host1.right <-> host0.left over

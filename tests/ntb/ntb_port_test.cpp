@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/hub.hpp"
 #include "obs/trace.hpp"
 #include "pcie/link.hpp"
 #include "sim/engine.hpp"
@@ -24,6 +25,7 @@ namespace {
 class NtbPairFixture : public ::testing::Test {
  protected:
   NtbPairFixture() {
+    engine_.attach_obs(&hub_);
     host_cfg_.memory_bytes = 8u << 20;
     host_cfg_.bus_Bps = 5.2e9;
     host_cfg_.isr_latency = sim::usec(15);
@@ -47,6 +49,7 @@ class NtbPairFixture : public ::testing::Test {
     return v;
   }
 
+  obs::Hub hub_;  // outlives the engine that points at it
   sim::Engine engine_;
   host::HostConfig host_cfg_;
   std::unique_ptr<host::Host> host_a_;
@@ -79,7 +82,7 @@ TEST_F(NtbPairFixture, DmaWriteCopiesDataIntoPeerRegion) {
   engine_.run();
   auto got = host_b_->memory().bytes(region, 256, data.size());
   EXPECT_EQ(std::memcmp(got.data(), data.data(), data.size()), 0);
-  EXPECT_EQ(port_a_->dma_bytes_written(), data.size());
+  EXPECT_EQ(hub_.metrics.counter("a.dma_bytes")->value(), data.size());
 }
 
 TEST_F(NtbPairFixture, DmaWriteTimingMatchesRateAndSetup) {

@@ -84,19 +84,23 @@ TEST(CriticalPath, PicksTheLatestEndingChain) {
       rec.begin(rec.ctx_of(fa), SpanKind::kService, 1, 0, 45);
   rec.end(fa, 40);
   rec.end(svc, 160);  // async leg outlives the op root
+  const std::uint64_t dma = rec.begin(rec.ctx_of(fb), SpanKind::kDma, 0, 1, 50);
+  rec.end(dma, 160);  // ties svc's end: the lower span id wins
   rec.end(root, 100);
 
-  const CriticalPath cp = critical_path(rec, root);
-  EXPECT_EQ(cp.root, root);
-  EXPECT_EQ(cp.leaf, svc);
-  EXPECT_EQ(cp.total, 160);
-  ASSERT_EQ(cp.edges.size(), 3u);
-  EXPECT_EQ(cp.edges[0].kind, SpanKind::kOp);
-  EXPECT_EQ(cp.edges[0].dur, 10);  // [0, 10) before the frame starts
-  EXPECT_EQ(cp.edges[1].kind, SpanKind::kFrame);
-  EXPECT_EQ(cp.edges[1].dur, 35);  // [10, 45) before the service starts
-  EXPECT_EQ(cp.edges[2].kind, SpanKind::kService);
-  EXPECT_EQ(cp.edges[2].dur, 115);  // [45, 160)
+  // The chain root -> fa -> svc ends last; fb and dma (off the chain) get
+  // nothing.
+  const std::vector<FamilyBreakdown> fams = critical_path_by_family(rec);
+  ASSERT_EQ(fams.size(), 1u);
+  EXPECT_EQ(fams[0].family, "put");
+  EXPECT_EQ(fams[0].traces, 1u);
+  EXPECT_EQ(fams[0].total_ns, 160u);
+  const std::map<std::string, std::uint64_t> want = {
+      {"op", 10},        // [0, 10) before the frame starts
+      {"frame", 35},     // [10, 45) before the service starts
+      {"service", 115},  // [45, 160)
+  };
+  EXPECT_EQ(fams[0].edge_ns, want);
 }
 
 TEST(CriticalPath, FamilyBreakdownAggregatesRoots) {

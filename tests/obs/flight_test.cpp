@@ -1,11 +1,12 @@
 // FlightRecorder ring semantics: wraparound retention, dump-after-wrap
-// ordering, capacity rounding and clear() — the post-mortem path must be
-// trustworthy precisely when the ring has long since wrapped.
+// ordering, clear() and the zero-filled empty ring — the post-mortem path
+// must be trustworthy precisely when the ring has long since wrapped.
 #include "obs/flight.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,17 +14,23 @@
 namespace ntbshmem::obs {
 namespace {
 
-TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FlightRecorder(0).capacity(), 512u);  // the documented default
-  EXPECT_EQ(FlightRecorder(1).capacity(), 1u);
-  EXPECT_EQ(FlightRecorder(3).capacity(), 4u);
-  EXPECT_EQ(FlightRecorder(8).capacity(), 8u);
-  EXPECT_EQ(FlightRecorder(9).capacity(), 16u);
-  EXPECT_EQ(FlightRecorder(500).capacity(), 512u);
+constexpr int kCap = static_cast<int>(FlightRecorder::kCapacity);
+
+TEST(FlightRecorderTest, ZeroFilledMemoryIsAnEmptyRing) {
+  // The shm backend embeds rings in a zero-filled shared segment and never
+  // constructs them, so all-zero bytes must read as an empty ring.
+  FlightRecorder rec;
+  for (int i = 0; i < 3; ++i) rec.log(i, FlightCode::kGet);
+  std::memset(static_cast<void*>(&rec), 0, sizeof rec);
+  EXPECT_EQ(rec.total(), 0u);
+  EXPECT_TRUE(rec.recent().empty());
+  rec.log(7, FlightCode::kPut, 1, 2, 3);
+  ASSERT_EQ(rec.recent().size(), 1u);
+  EXPECT_EQ(rec.recent().front().t, 7);
 }
 
 TEST(FlightRecorderTest, RecentBeforeWrapKeepsEverythingInOrder) {
-  FlightRecorder rec(8);
+  FlightRecorder rec;
   for (int i = 0; i < 5; ++i) {
     rec.log(i * 10, FlightCode::kPut, static_cast<std::uint16_t>(i));
   }
@@ -37,17 +44,18 @@ TEST(FlightRecorderTest, RecentBeforeWrapKeepsEverythingInOrder) {
 }
 
 TEST(FlightRecorderTest, WraparoundRetainsNewestCapacityRecordsOldestFirst) {
-  FlightRecorder rec(4);
-  // 11 records through a 4-slot ring: only 7..10 survive.
-  for (int i = 0; i < 11; ++i) {
+  FlightRecorder rec;
+  // kCap + 7 records: the first 7 are evicted.
+  const int n = kCap + 7;
+  for (int i = 0; i < n; ++i) {
     rec.log(i, FlightCode::kFrameTx, static_cast<std::uint16_t>(i),
             static_cast<std::uint32_t>(100 + i),
             static_cast<std::uint64_t>(1000 + i));
   }
-  EXPECT_EQ(rec.total(), 11u);
+  EXPECT_EQ(rec.total(), static_cast<std::uint64_t>(n));
   const std::vector<FlightRecord> out = rec.recent();
-  ASSERT_EQ(out.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
+  ASSERT_EQ(out.size(), FlightRecorder::kCapacity);
+  for (int i = 0; i < kCap; ++i) {
     const FlightRecord& r = out[static_cast<std::size_t>(i)];
     EXPECT_EQ(r.t, 7 + i);  // oldest retained first, strictly ascending
     EXPECT_EQ(r.a, 7 + i);
@@ -57,21 +65,22 @@ TEST(FlightRecorderTest, WraparoundRetainsNewestCapacityRecordsOldestFirst) {
 }
 
 TEST(FlightRecorderTest, WrapExactlyAtCapacityBoundary) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 4; ++i) rec.log(i, FlightCode::kAck);
-  ASSERT_EQ(rec.recent().size(), 4u);
+  FlightRecorder rec;
+  for (int i = 0; i < kCap; ++i) rec.log(i, FlightCode::kAck);
+  ASSERT_EQ(rec.recent().size(), FlightRecorder::kCapacity);
   EXPECT_EQ(rec.recent().front().t, 0);
   // One more evicts exactly the oldest.
-  rec.log(4, FlightCode::kAck);
+  rec.log(kCap, FlightCode::kAck);
   const std::vector<FlightRecord> out = rec.recent();
-  ASSERT_EQ(out.size(), 4u);
+  ASSERT_EQ(out.size(), FlightRecorder::kCapacity);
   EXPECT_EQ(out.front().t, 1);
-  EXPECT_EQ(out.back().t, 4);
+  EXPECT_EQ(out.back().t, kCap);
 }
 
 TEST(FlightRecorderTest, DumpAfterWrapReportsEvictionsAndOrdering) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
+  FlightRecorder rec;
+  const int n = kCap + 6;
+  for (int i = 0; i < n; ++i) {
     rec.log(i * 100, FlightCode::kRetransmit, 2,
             static_cast<std::uint32_t>(i));
   }
@@ -79,34 +88,34 @@ TEST(FlightRecorderTest, DumpAfterWrapReportsEvictionsAndOrdering) {
   dump_flight(rec, "host3", oss);
   const std::string text = oss.str();
   EXPECT_NE(text.find("flight recorder host3"), std::string::npos);
-  EXPECT_NE(text.find("4 records retained, 6 evicted"), std::string::npos);
+  EXPECT_NE(text.find(std::to_string(kCap) + " records retained, 6 evicted"),
+            std::string::npos);
   // Newest-last: the retained records appear oldest first in the dump.
-  const std::size_t p600 = text.find("[t=600ns] retransmit");
-  const std::size_t p700 = text.find("[t=700ns] retransmit");
-  const std::size_t p800 = text.find("[t=800ns] retransmit");
-  const std::size_t p900 = text.find("[t=900ns] retransmit");
-  ASSERT_NE(p600, std::string::npos);
-  ASSERT_NE(p900, std::string::npos);
-  EXPECT_LT(p600, p700);
-  EXPECT_LT(p700, p800);
-  EXPECT_LT(p800, p900);
+  const auto at = [&](int i) {
+    return text.find("[t=" + std::to_string(i * 100) + "ns] retransmit");
+  };
+  ASSERT_NE(at(6), std::string::npos);
+  ASSERT_NE(at(n - 1), std::string::npos);
+  EXPECT_LT(at(6), at(7));
+  EXPECT_LT(at(7), at(n - 2));
+  EXPECT_LT(at(n - 2), at(n - 1));
   // Everything evicted is absent.
-  EXPECT_EQ(text.find("[t=500ns]"), std::string::npos);
-  EXPECT_EQ(text.find("[t=0ns]"), std::string::npos);
+  EXPECT_EQ(at(5), std::string::npos);
+  EXPECT_EQ(at(0), std::string::npos);
 }
 
 TEST(FlightRecorderTest, ClearResetsRetentionAndTotals) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 9; ++i) rec.log(i, FlightCode::kNak);
+  FlightRecorder rec;
+  for (int i = 0; i < kCap + 5; ++i) rec.log(i, FlightCode::kNak);
   rec.clear();
   EXPECT_EQ(rec.total(), 0u);
   EXPECT_TRUE(rec.recent().empty());
   // The ring is reusable after clear, wrap semantics intact.
-  for (int i = 0; i < 6; ++i) rec.log(50 + i, FlightCode::kBarrier);
+  for (int i = 0; i < kCap + 2; ++i) rec.log(50 + i, FlightCode::kBarrier);
   const std::vector<FlightRecord> out = rec.recent();
-  ASSERT_EQ(out.size(), 4u);
+  ASSERT_EQ(out.size(), FlightRecorder::kCapacity);
   EXPECT_EQ(out.front().t, 52);
-  EXPECT_EQ(out.back().t, 55);
+  EXPECT_EQ(out.back().t, 50 + kCap + 1);
 }
 
 TEST(FlightRecorderTest, EveryCodeHasAStableName) {

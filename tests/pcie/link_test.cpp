@@ -1,7 +1,10 @@
-// PCIe config math and full-duplex link behaviour.
+// PCIe config math, full-duplex link behaviour and utilization windows.
 #include "pcie/link.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "sim/engine.hpp"
 
@@ -89,6 +92,92 @@ TEST(LinkTest, DownLinkRejectsTraffic) {
 TEST(LinkTest, OppositeEnd) {
   EXPECT_EQ(opposite(End::kA), End::kB);
   EXPECT_EQ(opposite(End::kB), End::kA);
+}
+
+// ---- Utilization windows ----------------------------------------------------
+// A direction is busy while at least one noted transfer is in flight on it;
+// the per-window samples are the trace artifact's busy-time series.
+
+// One transfer from end A, bracketed by the hooks NtbPort calls around it.
+void noted_transfer(Link& link, std::uint64_t bytes) {
+  link.note_transfer_start(End::kA, bytes);
+  link.direction_from(End::kA).transfer(bytes);
+  link.note_transfer_end(End::kA, bytes);
+}
+
+// Per direction: samples ascend in time, none exceeds the window, and after
+// flush_util they sum exactly to busy_ns.
+void expect_samples_integrate(const Link& link) {
+  for (const End dir : {End::kA, End::kB}) {
+    std::uint64_t sum = 0;
+    sim::Time prev = 0;
+    for (const Link::UtilSample& u : link.util_samples(dir)) {
+      EXPECT_GT(u.t, prev);
+      EXPECT_LE(u.busy, static_cast<std::uint64_t>(link.util_window()));
+      prev = u.t;
+      sum += u.busy;
+    }
+    EXPECT_EQ(sum, link.busy_ns(dir));
+  }
+}
+
+TEST(BandwidthUtilizationTest, BusyTimeTracksActivePeriods) {
+  sim::Engine engine;
+  Link link(engine, "l", gen_lanes(Gen::kGen3, 8));
+  link.set_util_window(sim::usec(50));  // each transfer spans several windows
+  sim::Time t[4] = {-1, -1, -1, -1};
+  engine.spawn("p", [&] {
+    t[0] = engine.now();
+    noted_transfer(link, 1'000'000);
+    t[1] = engine.now();
+    engine.wait_for(sim::msec(3));  // idle gap
+    t[2] = engine.now();
+    noted_transfer(link, 2'000'000);
+    t[3] = engine.now();
+  });
+  engine.run();
+  link.flush_util(engine.now());
+  // The idle gap is excluded: busy time is exactly the two transfers.
+  EXPECT_EQ(link.busy_ns(End::kA),
+            static_cast<std::uint64_t>((t[1] - t[0]) + (t[3] - t[2])));
+  EXPECT_EQ(link.busy_ns(End::kB), 0u);
+  EXPECT_EQ(link.transferred_bytes(End::kA), 3'000'000u);
+  EXPECT_TRUE(link.util_samples(End::kB).empty());
+  expect_samples_integrate(link);
+}
+
+TEST(BandwidthUtilizationTest, OverlappingFlowsCountBusyOnce) {
+  sim::Engine engine;
+  Link link(engine, "l", gen_lanes(Gen::kGen3, 8));
+  link.set_util_window(sim::usec(50));
+  sim::Time done_a = -1;
+  sim::Time done_b = -1;
+  engine.spawn("a", [&] {
+    noted_transfer(link, 1'000'000);
+    done_a = engine.now();
+  });
+  engine.spawn("b", [&] {
+    noted_transfer(link, 1'000'000);
+    done_b = engine.now();
+  });
+  engine.run();
+  link.flush_util(engine.now());
+  // Two flows share the direction from t=0: busy until the last one ends,
+  // counted once rather than once per flow.
+  const sim::Time last = std::max(done_a, done_b);
+  EXPECT_EQ(link.busy_ns(End::kA), static_cast<std::uint64_t>(last));
+  expect_samples_integrate(link);
+}
+
+TEST(BandwidthUtilizationTest, IdleResourceReportsZero) {
+  sim::Engine engine;
+  Link link(engine, "l", gen_lanes(Gen::kGen3, 8));
+  link.set_util_window(sim::usec(50));
+  link.flush_util(sim::usec(500));
+  for (const End dir : {End::kA, End::kB}) {
+    EXPECT_EQ(link.busy_ns(dir), 0u);
+    EXPECT_TRUE(link.util_samples(dir).empty());
+  }
 }
 
 }  // namespace

@@ -112,10 +112,9 @@ TEST(FaultRecovery, LostDataDoorbellIsRetransmitted) {
   const TransportStats& s = rt.host_transport(0).stats();
   EXPECT_GE(s.ack_timeouts, 1u);
   EXPECT_GE(s.retransmits, 1u);
-  const auto& rel = rt.host_transport(0).channel_reliability(/*port=*/0);
-  EXPECT_GE(rel.retransmits, 1u);
-  EXPECT_GE(rel.acks_matched, 1u);
-  EXPECT_GT(rel.ack_latency_ns.count(), 0u);
+  // Every emission, the retransmitted one included, was retired by an ack.
+  EXPECT_TRUE(rt.host_transport(0).quiescent())
+      << rt.host_transport(0).pending_summary();
   EXPECT_EQ(rt.faults().stats().doorbells_dropped, 1u);
 }
 

@@ -165,10 +165,12 @@ TEST(IntegrationTest, AtomicsPutsAndCollectivesInterleaved) {
 }
 
 TEST(IntegrationTest, LinkUtilizationAccountingUnderLoad) {
-  // X7: the fabric's bandwidth resources account busy time; a saturating
-  // unidirectional stream drives its cable near full utilization while the
-  // reverse direction stays idle.
-  Runtime rt(test_options(3));
+  // X7: the links count bytes per direction and (with recording on, which
+  // arms the utilization windows) busy time; a saturating unidirectional
+  // stream loads its cable while the reverse direction stays near idle.
+  RuntimeOptions opts = test_options(3);
+  opts.obs.causal_enabled = true;
+  Runtime rt(opts);
   sim::Dur window = 0;
   rt.run([&] {
     shmem_init();
@@ -186,13 +188,17 @@ TEST(IntegrationTest, LinkUtilizationAccountingUnderLoad) {
     if (shmem_my_pe() == 0) window = eng.now() - t0;
     shmem_finalize();
   });
-  auto& fwd = rt.fabric().link(0).direction_from(pcie::End::kA);
-  auto& rev = rt.fabric().link(0).direction_from(pcie::End::kB);
-  EXPECT_GE(fwd.total_bytes(), 4u * 512 * 1024);  // exactly the payload: register ops are latency-only
-  EXPECT_GT(fwd.busy_time(), 0);
+  const pcie::Link& link = rt.fabric().link(0);
+  obs::MetricsRegistry& reg = rt.obs().metrics;
+  const std::uint64_t fwd = reg.counter(link.name() + ".a2b.bytes")->value();
+  const std::uint64_t rev = reg.counter(link.name() + ".b2a.bytes")->value();
+  EXPECT_GE(fwd, 4u * 512 * 1024);  // exactly the payload: register ops are latency-only
   // The data direction moved orders of magnitude more bytes than the
   // reverse (ack/status-only) direction.
-  EXPECT_GT(fwd.total_bytes(), 100 * std::max<std::uint64_t>(rev.total_bytes(), 1));
+  EXPECT_GT(fwd, 100 * std::max<std::uint64_t>(rev, 1));
+  EXPECT_GT(link.busy_ns(pcie::End::kA), 0u);
+  EXPECT_LE(link.busy_ns(pcie::End::kA),
+            static_cast<std::uint64_t>(rt.engine().now()));
   EXPECT_GT(window, 0);
 }
 

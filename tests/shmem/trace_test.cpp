@@ -22,15 +22,8 @@ using obs::FlightRecord;
 using testing::pattern;
 using testing::test_options;
 
-// Flight rings large enough that no run below evicts a record, so the
-// assertions see each host's complete log.
-RuntimeOptions logged_options(int npes) {
-  RuntimeOptions opts = test_options(npes);
-  opts.obs.flight_capacity = 1u << 16;
-  return opts;
-}
-
 // Host `host`'s complete log, oldest first (flights register in host order).
+// The runs below are small enough that no ring wraps.
 std::vector<FlightRecord> host_log(const Runtime& rt, int host) {
   const obs::FlightRecorder& rec =
       *rt.obs().flights.at(static_cast<std::size_t>(host)).second;
@@ -62,7 +55,7 @@ std::vector<std::string> fault_instants(const Runtime& rt) {
 }
 
 TEST(TraceTest, BarrierStartsPrecedeEndsPerHostAndRound) {
-  Runtime rt(logged_options(3));
+  Runtime rt(test_options(3));
   rt.run([&] {
     shmem_init();
     for (int i = 0; i < 3; ++i) shmem_barrier_all();
@@ -88,7 +81,7 @@ TEST(TraceTest, BarrierStartsPrecedeEndsPerHostAndRound) {
 }
 
 TEST(TraceTest, EveryReceivedFrameWasSentEarlier) {
-  Runtime rt(logged_options(3));
+  Runtime rt(test_options(3));
   rt.run([&] {
     shmem_init();
     auto* buf = static_cast<std::byte*>(shmem_malloc(8192));
@@ -135,7 +128,7 @@ TEST(TraceTest, EveryReceivedFrameWasSentEarlier) {
 }
 
 TEST(TraceTest, OpsAreRecordedWithSizes) {
-  Runtime rt(logged_options(2));
+  Runtime rt(test_options(2));
   rt.run([&] {
     shmem_init();
     auto* buf = static_cast<std::byte*>(shmem_malloc(1024));
@@ -158,7 +151,7 @@ TEST(TraceTest, FaultAndRetryEventsAreCategorized) {
   // trail: the injection in the fault plan's stats and on the exported
   // timeline, the timeout + retransmit in host 0's log, and a clean run
   // records none of them.
-  RuntimeOptions opts = logged_options(3);
+  RuntimeOptions opts = test_options(3);
   opts.tuning = TransportTuning::reliable(TransportTuning{});
   opts.obs.spans_enabled = true;
   auto workload = [] {
@@ -197,7 +190,7 @@ TEST(TraceTest, FaultAndRetryEventsAreCategorized) {
 }
 
 TEST(TraceTest, TimestampsAreMonotonic) {
-  Runtime rt(logged_options(3));
+  Runtime rt(test_options(3));
   rt.run([&] {
     shmem_init();
     shmem_barrier_all();

@@ -166,62 +166,5 @@ TEST(BandwidthTest, InvalidCapacityOrCapThrows) {
   engine.run();
 }
 
-TEST(BandwidthTest, CurrentShareReflectsLoad) {
-  Engine engine;
-  BandwidthResource link(engine, "link", kBps);
-  double share_empty = 0.0;
-  double share_loaded = 0.0;
-  engine.spawn("bg", [&] { link.transfer(10'000'000); });
-  engine.spawn("probe", [&] {
-    engine.wait_for(usec(1));
-    share_loaded = link.current_share_Bps();
-  });
-  share_empty = link.current_share_Bps();
-  engine.run();
-  EXPECT_DOUBLE_EQ(share_empty, kBps);
-  EXPECT_NEAR(share_loaded, kBps / 2, 1.0);
-}
-
-}  // namespace
-}  // namespace ntbshmem::sim
-
-// (appended) Utilization accounting tests.
-namespace ntbshmem::sim {
-namespace {
-
-TEST(BandwidthUtilizationTest, BusyTimeTracksActivePeriods) {
-  Engine engine;
-  BandwidthResource link(engine, "link", 1e9);
-  engine.spawn("p", [&] {
-    link.transfer(1'000'000);            // busy [0, 1ms]
-    engine.wait_for(msec(3));            // idle (3ms)
-    link.transfer(2'000'000);            // busy [4ms, 6ms]
-  });
-  engine.run();
-  EXPECT_NEAR(static_cast<double>(link.busy_time()), 3e6, 5e3);
-  EXPECT_EQ(link.total_bytes(), 3'000'000u);
-  // Utilization over the 6ms run: ~3ms busy -> 0.5.
-  EXPECT_NEAR(link.utilization(engine.now()), 0.5, 0.01);
-  EXPECT_NEAR(link.load_factor(engine.now()), 0.5, 0.01);
-}
-
-TEST(BandwidthUtilizationTest, OverlappingFlowsCountBusyOnce) {
-  Engine engine;
-  BandwidthResource link(engine, "link", 1e9);
-  engine.spawn("a", [&] { link.transfer(1'000'000); });
-  engine.spawn("b", [&] { link.transfer(1'000'000); });
-  engine.run();
-  // Two 1MB flows share 1GB/s: both end at 2ms; busy time is 2ms, not 4ms.
-  EXPECT_NEAR(static_cast<double>(link.busy_time()), 2e6, 5e3);
-}
-
-TEST(BandwidthUtilizationTest, IdleResourceReportsZero) {
-  Engine engine;
-  BandwidthResource link(engine, "link", 1e9);
-  EXPECT_EQ(link.busy_time(), 0);
-  EXPECT_EQ(link.total_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(link.utilization(0), 0.0);
-}
-
 }  // namespace
 }  // namespace ntbshmem::sim
