@@ -56,6 +56,12 @@ Segment::Segment(int npes, std::uint64_t heap_slice_bytes)
   if (map == MAP_FAILED) fail("mmap of " + std::to_string(total_) + " bytes");
   base_ = static_cast<std::byte*>(map);
 
+  // A pre-fault, not a zero-fill: a fresh O_EXCL object already reads as
+  // zero. Writing every page commits the segment here, in the parent,
+  // before fork. Left to first touch, the forked PEs allocate those pages
+  // concurrently inside the timed run; measured on shm_kv4 (4 PEs, Release,
+  // 4 cores), setup fell from 0.095 to 0.0001 s but requests/s fell 17-21%
+  // and p99 latency rose 16-18% (DESIGN.md §4j).
   std::memset(base_, 0, total_);
   SegmentHeader& h = header();
   h.magic = kSegmentMagic;

@@ -91,9 +91,10 @@ inline constexpr std::uint64_t kSegmentMagic = 0x4e54'4253'484d'3031ull;
 // inherit the mapping via fork and never construct one.
 class Segment {
  public:
-  // Lays out and zero-fills a segment for `npes` PEs with
-  // `heap_slice_bytes` of symmetric heap each. Throws std::runtime_error
-  // on shm_open/ftruncate/mmap failure.
+  // Lays out a segment for `npes` PEs with `heap_slice_bytes` of symmetric
+  // heap each and commits every page of it before any PE is forked (see the
+  // constructor for why). Throws std::runtime_error on
+  // shm_open/ftruncate/mmap failure.
   Segment(int npes, std::uint64_t heap_slice_bytes);
   ~Segment();
   Segment(const Segment&) = delete;

@@ -4,6 +4,12 @@
 // Regions are carved out for the symmetric heap chunks, bypass buffers and
 // scratch areas; NTB BAR windows translate into (host, region, offset)
 // targets, mirroring the BAR/translation-register scheme of Fig. 1.
+//
+// An owned arena is one anonymous private mapping that the kernel commits
+// page by page on first touch: a host pays only for the pages a run
+// writes, and untouched pages read as zero. A PROT_NONE guard page follows
+// the last page, so a write that escapes the bounds checks past the end
+// faults in every build (DESIGN.md §4f).
 #pragma once
 
 #include <cstddef>
@@ -11,7 +17,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace ntbshmem::host {
 
@@ -30,6 +35,8 @@ class OutOfMemory : public std::runtime_error {
 
 class MemoryArena {
  public:
+  // Reserves `capacity_bytes` of zero pages. Throws OutOfMemory, naming the
+  // arena and the size, when the mapping cannot be made.
   explicit MemoryArena(std::uint64_t capacity_bytes, std::string name = "ram");
 
   // View mode: the arena carves regions out of externally owned storage
@@ -37,6 +44,10 @@ class MemoryArena {
   // symmetric heap inside the mmap'ed segment (DESIGN.md §4j). The view
   // must outlive the arena; the arena never frees or grows it.
   explicit MemoryArena(std::span<std::byte> view, std::string name = "view");
+  ~MemoryArena();
+  // The arena owns its mapping: no copies, no moves.
+  MemoryArena(const MemoryArena&) = delete;
+  MemoryArena& operator=(const MemoryArena&) = delete;
 
   // Bump-allocates `size` bytes at `align` alignment. Throws OutOfMemory.
   Region allocate(std::uint64_t size, std::uint64_t align = 64);
@@ -58,8 +69,9 @@ class MemoryArena {
              std::uint64_t len) const;
 
   std::string name_;
-  std::vector<std::byte> storage_;  // owned mode only (view mode: empty)
-  std::span<std::byte> mem_;        // = storage_ (owned) or the external view
+  void* map_base_ = nullptr;    // owned mode only (view mode: null)
+  std::size_t map_bytes_ = 0;   // whole pages, guard page included
+  std::span<std::byte> mem_;    // the mapping's head (owned) or the view
   std::uint64_t next_ = 0;
 };
 

@@ -1,6 +1,10 @@
 #include "host/memory.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <string>
 
 namespace ntbshmem::host {
 namespace {
@@ -50,6 +54,46 @@ TEST(MemoryArenaTest, DataRoundTrips) {
   auto rd = arena.bytes(r, 4, 4);
   EXPECT_EQ(rd[0], static_cast<std::byte>(4));
   EXPECT_EQ(rd[3], static_cast<std::byte>(7));
+}
+
+TEST(MemoryArenaTest, FreshArenaReadsZero) {
+  const auto fill = [](MemoryArena& a, std::byte value) {
+    auto all = a.bytes(a.allocate(a.capacity(), 1));
+    std::fill(all.begin(), all.end(), value);
+  };
+  {
+    MemoryArena freed(4u << 20);
+    fill(freed, std::byte{0xa5});
+  }
+  MemoryArena live(4u << 20);
+  fill(live, std::byte{0x5a});
+  MemoryArena arena(4u << 20);
+  auto all = arena.bytes(arena.allocate(arena.capacity(), 1));
+  EXPECT_EQ(all.front(), std::byte{0});
+  EXPECT_EQ(all[all.size() / 2], std::byte{0});
+  EXPECT_EQ(all.back(), std::byte{0});
+}
+
+TEST(MemoryArenaTest, UnmappableSizeThrowsOutOfMemoryNamingTheArena) {
+  try {
+    MemoryArena arena(1ull << 62, "huge");
+    FAIL() << "a 2^62-byte arena was mapped";
+  } catch (const OutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("huge"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(1ull << 62)), std::string::npos)
+        << what;
+  }
+  // Too large to round up to whole pages without wrapping.
+  EXPECT_THROW(MemoryArena(~0ull, "wrap"), OutOfMemory);
+}
+
+TEST(MemoryArenaDeathTest, WritePastTheEndHitsTheGuardPage) {
+  const auto page = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+  MemoryArena arena(4 * page);
+  auto all = arena.bytes(arena.allocate(4 * page, 1));
+  volatile std::byte* past_end = all.data() + all.size();
+  EXPECT_DEATH(*past_end = std::byte{1}, "");
 }
 
 }  // namespace

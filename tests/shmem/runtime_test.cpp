@@ -2,8 +2,11 @@
 #include "shmem/runtime.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <fstream>
 #include <vector>
 
 #include "shmem/api.hpp"
@@ -178,6 +181,30 @@ TEST(RuntimeTest, TeardownUnwindsServicesBeforeTheirState) {
       }
     }
   }
+}
+
+// Resident set size of this process, from /proc/self/statm.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// Host DRAM is committed page by page as a run touches it: building a
+// 64-host ring with default 96 MiB arenas must not make 6 GiB resident.
+TEST(RuntimeTest, ConstructionCommitsNoHostMemoryUpFront) {
+  RuntimeOptions opts;
+  opts.backend = backend::Kind::kSim;
+  opts.npes = 64;
+  const std::uint64_t before = resident_bytes();
+  ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+  Runtime rt(opts);
+  const std::uint64_t after = resident_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, opts.host_memory_bytes)
+      << "constructing 64 hosts made " << (grown >> 20) << " MiB resident";
 }
 
 TEST(RuntimeTest, InfoQueries) {
