@@ -117,7 +117,9 @@ ScaleResult measure(const std::vector<std::vector<int>>& out, int rounds) {
   std::vector<std::uint64_t> inbox(static_cast<std::size_t>(n), 0);
   ev.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    ev.push_back(std::make_unique<sim::Event>(engine, "h" + std::to_string(i)));
+    std::string name = "h";
+    name += std::to_string(i);
+    ev.push_back(std::make_unique<sim::Event>(engine, name));
   }
   SimBarrier barrier(engine, n);
   std::uint64_t cb_fires = 0;
@@ -125,7 +127,8 @@ ScaleResult measure(const std::vector<std::vector<int>>& out, int rounds) {
 
   const auto wall0 = std::chrono::steady_clock::now();
   for (int i = 0; i < n; ++i) {
-    const std::string name = "h" + std::to_string(i);
+    std::string name = "h";
+    name += std::to_string(i);
     engine.spawn(name, [&, i] {
       const auto ui = static_cast<std::size_t>(i);
       for (int r = 0; r < rounds; ++r) {

@@ -97,20 +97,22 @@ class ObsCli {
       rt.write_causal_trace(out);
       captured_causal_ = true;
     }
-    capture(rt.obs());
+    if (tracing()) {
+      std::ofstream out(trace_path_);
+      rt.write_chrome_trace(out);
+      captured_trace_ = true;
+    }
+    capture_metrics(rt.obs());
   }
 
+  // Bare-fabric runs: the tracer is the whole timeline.
   void capture(obs::Hub& hub) {
     if (tracing()) {
       std::ofstream out(trace_path_);
       obs::write_chrome_trace(hub.tracer, out);
       captured_trace_ = true;
     }
-    if (!metrics_path_.empty()) {
-      std::ofstream out(metrics_path_);
-      obs::write_metrics_json(hub.metrics.snapshot(), out, /*indent=*/2);
-      captured_metrics_ = true;
-    }
+    capture_metrics(hub);
   }
 
   void report() const {
@@ -125,6 +127,15 @@ class ObsCli {
 
  private:
   ObsCli() = default;
+
+  void capture_metrics(obs::Hub& hub) {
+    if (!metrics_path_.empty()) {
+      std::ofstream out(metrics_path_);
+      obs::write_metrics_json(hub.metrics.snapshot(), out, /*indent=*/2);
+      captured_metrics_ = true;
+    }
+  }
+
   std::string trace_path_;
   std::string metrics_path_;
   std::string causal_path_;

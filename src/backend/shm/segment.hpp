@@ -107,7 +107,6 @@ class Segment {
 
   int npes() const { return npes_; }
   std::uint64_t heap_slice() const { return slice_; }
-  std::size_t total_bytes() const { return total_; }
 
  private:
   int npes_;

@@ -117,8 +117,8 @@ class NtbPort {
   // DMA read: peer memory -> local memory (non-posted, slower). Same error
   // contract as dma_write.
   bool dma_read(int idx, std::uint64_t off, std::span<std::byte> dst);
-  // Latched DMA error status (sticky until cleared; one reg write to clear).
-  bool dma_error_latched() const { return dma_error_latched_; }
+  // Clears the latched DMA error status (sticky until cleared; one reg
+  // write).
   void clear_dma_error();
   // PIO paths: CPU stores/loads through the mapped window.
   void pio_write(int idx, std::uint64_t off, std::span<const std::byte> src);

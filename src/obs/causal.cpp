@@ -29,8 +29,9 @@ const char* op_family_name(std::uint64_t family) {
   return "other";
 }
 
-std::uint64_t CausalRecorder::begin_root(SpanKind kind, int host, sim::Time t0,
-                                         std::uint64_t a, std::uint64_t b) {
+std::uint64_t CausalRecorder::begin_root(SpanKind kind, int host, int pe,
+                                         sim::Time t0, std::uint64_t a,
+                                         std::uint64_t b) {
   if (!enabled_) return 0;
   CausalSpan s;
   s.id = spans_.size() + 1;
@@ -39,6 +40,7 @@ std::uint64_t CausalRecorder::begin_root(SpanKind kind, int host, sim::Time t0,
   s.kind = kind;
   s.host = static_cast<std::int16_t>(host);
   s.port = -1;
+  s.pe = static_cast<std::int16_t>(pe);
   s.hop = 0;
   s.t0 = t0;
   s.a = a;

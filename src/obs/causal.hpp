@@ -1,15 +1,15 @@
 // Causal cross-hop tracing: the third half of the observability subsystem.
 //
-// The span Tracer (trace.hpp) answers "what was this component doing at
-// time t"; the CausalRecorder answers "why". Every top-level SHMEM
+// The device Tracer (trace.hpp) answers "what was this port or link doing at
+// time t"; the CausalRecorder answers "why", and its op, service and frame
+// spans are also the transport's Perfetto slices. Every top-level SHMEM
 // operation opens a *root* causal span; every frame emission, retransmit,
 // interrupt delivery, service dispatch, DMA window write, credit stall and
-// store-and-forward hop opens a child span linked to its cause — across
-// hosts, because the transport carries a compact TraceCtx with each frame
-// (see DESIGN.md §4h for the modelled on-wire encoding). One shmem_put that
-// crosses three hosts becomes one tree whose leaves are the final delivery
-// events, and because the DES is deterministic the tree is golden-checkable
-// bit for bit.
+// store-and-forward hop opens a child span linked to its cause — across hosts,
+// because the transport carries a compact TraceCtx with each frame (see
+// DESIGN.md §4h for the modelled on-wire encoding). One shmem_put that crosses
+// three hosts becomes one tree whose leaves are the final delivery events, and
+// because the DES is deterministic the tree is golden-checkable bit for bit.
 //
 // Cost model: identical to the Tracer. Every record method first checks
 // enabled() and returns immediately when causal recording is off, and
@@ -80,6 +80,7 @@ struct CausalSpan {
   SpanKind kind = SpanKind::kOp;
   std::int16_t host = -1;      // host the span executed on (-1 = unknown)
   std::int16_t port = -1;      // port index within the host (-1 = none)
+  std::int16_t pe = -1;        // issuing PE of an op root (-1 = none)
   std::uint8_t hop = 0;        // hops from the origin host
   sim::Time t0 = 0;
   sim::Time t1 = kSpanOpen;
@@ -92,9 +93,10 @@ class CausalRecorder {
   bool enabled() const { return enabled_; }
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
-  // Opens a root span with a freshly allocated trace id. Returns the span
-  // id (0 while disabled — all other methods treat span/ctx 0 as null).
-  std::uint64_t begin_root(SpanKind kind, int host, sim::Time t0,
+  // Opens a root span issued by PE `pe` on `host`, with a freshly
+  // allocated trace id. Returns the span id (0 while disabled — all other
+  // methods treat span/ctx 0 as null).
+  std::uint64_t begin_root(SpanKind kind, int host, int pe, sim::Time t0,
                            std::uint64_t a = 0, std::uint64_t b = 0);
 
   // Opens a child span caused by `cause` (no-op null span when the recorder
@@ -109,7 +111,6 @@ class CausalRecorder {
 
   const std::deque<CausalSpan>& spans() const { return spans_; }
   const CausalSpan* find(std::uint64_t id) const;
-  std::uint64_t next_trace_id() const { return next_trace_; }
   void clear();
 
  private:

@@ -1,6 +1,8 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 
 namespace ntbshmem::obs {
@@ -19,6 +21,16 @@ std::string fmt_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+// Perfetto name and category of an op-root or service slice.
+struct SliceLabel {
+  const char* name;
+  const char* cat;
+};
+SliceLabel slice_label(const CausalSpan& s) {
+  if (s.kind == SpanKind::kService) return {"process_frame", "frame"};
+  return {op_family_name(s.a), s.a == kFamilyBarrier ? "barrier" : "op"};
 }
 
 }  // namespace
@@ -47,13 +59,33 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
-  // Stable pid per distinct process name, in first-seen track order.
+void write_chrome_trace(const Tracer& tracer, const CausalRecorder& causal,
+                        const std::vector<HostTracks>& hosts,
+                        std::ostream& out) {
+  // Rows: the tracer's tracks (tid = index + 1), then each host's PE,
+  // rx-service and frame tracks.
+  std::vector<std::pair<std::string, std::string>> rows;  // (process, name)
+  for (const auto& tr : tracer.tracks()) rows.emplace_back(tr.process, tr.name);
+  std::vector<std::size_t> first_row;  // per host: its first PE track
+  for (const HostTracks& h : hosts) {
+    first_row.push_back(rows.size());
+    for (int i = 0; i < h.pes; ++i) {
+      rows.emplace_back(h.name, "pe" + std::to_string(h.first_pe + i));
+    }
+    for (const std::string& port : h.ports) {
+      rows.emplace_back(h.name, "rx_service@" + port);
+    }
+    for (const std::string& port : h.ports) {
+      rows.emplace_back(h.name, "frames_" + port);
+    }
+  }
+
+  // Stable pid per distinct process name, in first-seen row order.
   std::map<std::string, int> pids;
   std::vector<std::pair<std::string, int>> pid_order;
-  for (const auto& tr : tracer.tracks()) {
-    if (pids.emplace(tr.process, static_cast<int>(pids.size()) + 1).second) {
-      pid_order.emplace_back(tr.process, pids.at(tr.process));
+  for (const auto& [process, name] : rows) {
+    if (pids.emplace(process, static_cast<int>(pids.size()) + 1).second) {
+      pid_order.emplace_back(process, pids.at(process));
     }
   }
 
@@ -70,35 +102,28 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
          ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
          json_escape(proc) + "\"}}");
   }
-  for (std::size_t i = 0; i < tracer.tracks().size(); ++i) {
-    const auto& tr = tracer.tracks()[i];
-    const int pid = pids.at(tr.process);
-    const int tid = static_cast<int>(i) + 1;
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) + ",\"tid\":" +
-         std::to_string(tid) + ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         json_escape(tr.name) + "\"}}");
+  std::vector<std::string> row_ids;  // ",\"pid\":P,\"tid\":T" per row
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string pid = std::to_string(pids.at(rows[i].first));
+    const std::string tid = std::to_string(i + 1);
+    emit("{\"ph\":\"M\",\"pid\":" + pid + ",\"tid\":" + tid +
+         ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
+         json_escape(rows[i].second) + "\"}}");
+    row_ids.push_back(",\"pid\":" + pid + ",\"tid\":" + tid);
   }
+  const auto head = [&](std::string_view name, std::string_view cat,
+                        sim::Time t, std::size_t row) {
+    return "{\"name\":\"" + json_escape(name) + "\",\"cat\":\"" +
+           json_escape(cat) + "\",\"ts\":" + ts_us(t) + row_ids[row];
+  };
 
+  std::uint64_t max_async_id = 0;
   for (std::size_t i = 0; i < tracer.tracks().size(); ++i) {
-    const auto& tr = tracer.tracks()[i];
-    const int pid = pids.at(tr.process);
-    const int tid = static_cast<int>(i) + 1;
-    const std::string ids = ",\"pid\":" + std::to_string(pid) +
-                            ",\"tid\":" + std::to_string(tid);
-    for (const auto& rec : tr.records) {
-      const std::string name =
-          json_escape(tracer.events().name(rec.event));
-      const std::string cat =
-          json_escape(tracer.categories().name(rec.category));
-      std::string body = "{\"name\":\"" + name + "\",\"cat\":\"" + cat +
-                         "\",\"ts\":" + ts_us(rec.t) + ids;
+    for (const auto& rec : tracer.tracks()[i].records) {
+      const std::string& name = tracer.events().name(rec.event);
+      std::string body =
+          head(name, tracer.categories().name(rec.category), rec.t, i);
       switch (rec.kind) {
-        case RecordKind::kBegin:
-          body += ",\"ph\":\"B\"}";
-          break;
-        case RecordKind::kEnd:
-          body += ",\"ph\":\"E\"}";
-          break;
         case RecordKind::kInstant: {
           body += ",\"ph\":\"i\",\"s\":\"t\"";
           std::string args;
@@ -113,31 +138,77 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
           break;
         }
         case RecordKind::kCounter:
-          body += ",\"ph\":\"C\",\"args\":{\"" + name +
+          body += ",\"ph\":\"C\",\"args\":{\"" + json_escape(name) +
                   "\":" + fmt_double(rec.value) + "}}";
           break;
         case RecordKind::kAsyncBegin:
+          max_async_id = std::max(max_async_id, rec.id);
           body += ",\"ph\":\"b\",\"id\":\"" + std::to_string(rec.id) + "\"}";
           break;
         case RecordKind::kAsyncEnd:
           body += ",\"ph\":\"e\",\"id\":\"" + std::to_string(rec.id) + "\"}";
           break;
-        case RecordKind::kFlowStart:
-          body += ",\"ph\":\"s\",\"id\":\"" + std::to_string(rec.id) + "\"}";
-          break;
-        case RecordKind::kFlowStep:
-          body += ",\"ph\":\"t\",\"id\":\"" + std::to_string(rec.id) + "\"}";
-          break;
-        case RecordKind::kFlowEnd:
-          // bp:"e" binds the terminus to the enclosing slice (not the next).
-          body += ",\"ph\":\"f\",\"bp\":\"e\",\"id\":\"" +
-                  std::to_string(rec.id) + "\"}";
-          break;
       }
       emit(body);
     }
   }
+
+  // Causal spans in id (= start time) order. Op and service slices nest
+  // per track: before a slice opens, close every open one on its track
+  // that ended by then. Other kinds, and hosts, PEs or ports off the
+  // layout, are not drawn.
+  std::vector<std::vector<const CausalSpan*>> open(rows.size());
+  const auto close_until = [&](std::size_t row, sim::Time t) {
+    std::vector<const CausalSpan*>& stack = open[row];
+    while (!stack.empty() && stack.back()->t1 != kSpanOpen &&
+           stack.back()->t1 <= t) {
+      const SliceLabel l = slice_label(*stack.back());
+      emit(head(l.name, l.cat, stack.back()->t1, row) + ",\"ph\":\"E\"}");
+      stack.pop_back();
+    }
+  };
+  for (const CausalSpan& s : causal.spans()) {
+    const auto h = static_cast<std::size_t>(s.host);
+    if (s.host < 0 || h >= hosts.size()) continue;
+    const int pes = hosts[h].pes;
+    const int ports = static_cast<int>(hosts[h].ports.size());
+    const int pe = s.pe - hosts[h].first_pe;
+    const bool on_port = s.port >= 0 && s.port < ports;
+    int offset = -1;
+    if (s.kind == SpanKind::kOp && pe >= 0 && pe < pes) offset = pe;
+    if (s.kind == SpanKind::kService && on_port) offset = pes + s.port;
+    if (s.kind == SpanKind::kFrame && on_port) offset = pes + ports + s.port;
+    if (offset < 0) continue;
+    const std::size_t row = first_row[h] + static_cast<std::size_t>(offset);
+    if (s.kind == SpanKind::kFrame) {
+      // Frame lifetimes overlap (one per credit): an async pair whose id
+      // follows the tracer's.
+      const std::string id =
+          ",\"id\":\"" + std::to_string(max_async_id + s.id) + "\"}";
+      emit(head("frame_inflight", "frame", s.t0, row) + ",\"ph\":\"b\"" + id);
+      if (s.t1 != kSpanOpen) {
+        emit(head("frame_inflight", "frame", s.t1, row) + ",\"ph\":\"e\"" +
+             id);
+      }
+      continue;
+    }
+    close_until(row, s.t0);
+    const SliceLabel l = slice_label(s);
+    const std::string open_head = head(l.name, l.cat, s.t0, row);
+    emit(open_head + ",\"ph\":\"B\"}");
+    // The flow record binds to the slice just opened.
+    emit(open_head + ",\"ph\":\"" + (s.kind == SpanKind::kOp ? "s" : "t") +
+         "\",\"id\":\"" + std::to_string(s.trace_id) + "\"}");
+    open[row].push_back(&s);
+  }
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    close_until(row, std::numeric_limits<sim::Time>::max());
+  }
   out << "\n]}\n";
+}
+
+void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
+  write_chrome_trace(tracer, CausalRecorder{}, {}, out);
 }
 
 namespace {

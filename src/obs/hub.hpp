@@ -1,4 +1,4 @@
-// The Hub bundles one simulation's observability state: the span tracer,
+// The Hub bundles one simulation's observability state: the event tracer,
 // the metrics registry, the causal recorder and the flight-recorder
 // registry. A sim::Engine carries an optional Hub* (null by default — the
 // zero-cost path); components reach it through engine.obs() at construction

@@ -42,11 +42,6 @@ class Interner {
 
   std::size_t size() const { return names_.size(); }
 
-  void clear() {
-    ids_.clear();
-    names_.clear();
-  }
-
  private:
   struct SvHash {
     using is_transparent = void;

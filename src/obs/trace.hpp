@@ -1,10 +1,14 @@
-// Typed span tracer: the timeline half of the observability subsystem.
+// Typed event tracer: the device-level timeline of the observability
+// subsystem.
 //
-// Components record begin/end spans, instant events, async (overlapping)
-// spans and counter samples onto named *tracks* — one track per host
-// service thread, NTB port or link — using interned CategoryId/EventId
-// integers instead of per-record strings. Records land in per-track
-// append-only buffers.
+// The device and fault models record what only they see — NTB port DMA
+// spans and doorbells, link counter series, fault injections — as instant
+// events, async (overlapping) spans and counter samples onto named
+// *tracks* (one per NTB port, link or fault stream), using interned
+// CategoryId/EventId integers instead of per-record strings. Records land
+// in per-track append-only buffers. Transport spans (ops, frame service,
+// frame lifetimes) live only in the CausalRecorder (causal.hpp); the
+// Chrome export merges the two timelines.
 //
 // Cost model: every record method first checks enabled() and returns
 // immediately when tracing is off (the null-recorder pattern). Recording
@@ -29,15 +33,10 @@
 namespace ntbshmem::obs {
 
 enum class RecordKind : std::uint8_t {
-  kBegin,        // synchronous span open (nests per track)
-  kEnd,          // synchronous span close
   kInstant,      // point event
   kCounter,      // counter-timeline sample (value = sample)
   kAsyncBegin,   // overlapping span open, matched by `id`
   kAsyncEnd,     // overlapping span close, matched by `id`
-  kFlowStart,    // Perfetto flow arrow origin, matched by `id`
-  kFlowStep,     // flow arrow waypoint
-  kFlowEnd,      // flow arrow terminus
 };
 
 inline constexpr std::uint32_t kNoDetail = 0xffffffffu;
@@ -69,12 +68,6 @@ class Tracer {
   TrackId track(std::string_view process, std::string_view name);
 
   // ---- Recording (no-ops while disabled) -----------------------------------
-  void begin(TrackId track, CategoryId cat, EventId ev, sim::Time t) {
-    if (enabled_) push(track, {t, RecordKind::kBegin, cat, ev, 0, 0.0, kNoDetail});
-  }
-  void end(TrackId track, CategoryId cat, EventId ev, sim::Time t) {
-    if (enabled_) push(track, {t, RecordKind::kEnd, cat, ev, 0, 0.0, kNoDetail});
-  }
   void instant(TrackId track, CategoryId cat, EventId ev, sim::Time t,
                double value = 0.0) {
     if (enabled_)
@@ -98,24 +91,6 @@ class Tracer {
   void counter(TrackId track, EventId ev, sim::Time t, double value) {
     if (enabled_)
       push(track, {t, RecordKind::kCounter, 0, ev, 0, value, kNoDetail});
-  }
-  // Flow arrows: link slices across tracks by `id` (the causal trace_id).
-  // Chrome binds each flow record to the enclosing synchronous slice on the
-  // same track, so emit these inside an open kBegin/kEnd pair.
-  void flow_start(TrackId track, CategoryId cat, EventId ev, sim::Time t,
-                  std::uint64_t id) {
-    if (enabled_)
-      push(track, {t, RecordKind::kFlowStart, cat, ev, id, 0.0, kNoDetail});
-  }
-  void flow_step(TrackId track, CategoryId cat, EventId ev, sim::Time t,
-                 std::uint64_t id) {
-    if (enabled_)
-      push(track, {t, RecordKind::kFlowStep, cat, ev, id, 0.0, kNoDetail});
-  }
-  void flow_end(TrackId track, CategoryId cat, EventId ev, sim::Time t,
-                std::uint64_t id) {
-    if (enabled_)
-      push(track, {t, RecordKind::kFlowEnd, cat, ev, id, 0.0, kNoDetail});
   }
 
   // Process-unique ids for async-span correlation.

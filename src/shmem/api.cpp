@@ -109,7 +109,9 @@ void reduce_to_all(T* target, const T* source, int nreduce, int PE_start,
          [op](void* acc, const void* in, std::size_t n) {
            auto* a = static_cast<T*>(acc);
            const auto* b = static_cast<const T*>(in);
-           for (std::size_t i = 0; i < n; ++i) a[i] = op(a[i], b[i]);
+           for (std::size_t i = 0; i < n; ++i) {
+             a[i] = static_cast<T>(op(a[i], b[i]));
+           }
          });
 }
 

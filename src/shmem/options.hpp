@@ -107,17 +107,18 @@ struct TransportTuning {
   static TransportTuning reliable() { return reliable(TransportTuning{}); }
 };
 
-// Observability layer (src/obs): typed span tracing and per-layer metrics.
-// The runtime always owns an obs::Hub and attaches it to the engine, so the
-// metric counters are registered (an increment is one pointer-deref add);
-// span/instant/counter-sample *recording* happens only when spans_enabled.
+// Observability layer (src/obs). The runtime always owns an obs::Hub and
+// attaches it to the engine, so the metric counters are registered (an
+// increment is one pointer-deref add); recording happens only when a switch
+// below asks for it, and never moves virtual time.
 struct ObsOptions {
+  // The Perfetto timeline (Runtime::write_chrome_trace). Its transport
+  // slices are drawn from causal spans, so this records those too.
   bool spans_enabled = false;
   // Causal cross-hop tracing (obs::CausalRecorder): op-rooted span trees
   // linked across hosts/ports/retransmits, exported by
-  // Runtime::write_causal_trace as ntbshmem-trace-v1 and as Perfetto flow
-  // arrows on the span timeline. Off by default: the TraceCtx sidecar adds
-  // no wire bytes and no virtual time either way, but recording allocates.
+  // Runtime::write_causal_trace as ntbshmem-trace-v1 and feeding the SLO
+  // artifact's critical paths. Recording allocates.
   bool causal_enabled = false;
 };
 

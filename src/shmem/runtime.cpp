@@ -7,6 +7,7 @@
 #include "backend/backend.hpp"
 #include "backend/des/des_backend.hpp"
 #include "backend/shm/shm_backend.hpp"
+#include "obs/export.hpp"
 #include "shmem/collectives.hpp"
 
 namespace ntbshmem::shmem {
@@ -308,9 +309,12 @@ Runtime::Runtime(const RuntimeOptions& options)
   engine_.set_tiebreak_permutation(options_.schedule_tiebreak_seed);
   // Observability: the hub is always attached (counter increments are one
   // pointer-deref adds and never touch the engine, so golden times are
-  // unaffected); span recording is gated separately by ObsOptions.
+  // unaffected); span recording is gated separately by ObsOptions. The
+  // timeline draws transport spans from the causal recorder, so spans need
+  // it on too.
   obs_.tracer.set_enabled(options_.obs.spans_enabled);
-  obs_.causal.set_enabled(options_.obs.causal_enabled);
+  obs_.causal.set_enabled(options_.obs.causal_enabled ||
+                          options_.obs.spans_enabled);
   engine_.attach_obs(&obs_);
   // The fault plan is always attached: an all-zero spec short-circuits at
   // every site without waits or PRNG draws, so the paper-mode golden times
@@ -521,6 +525,23 @@ void Runtime::write_causal_trace(std::ostream& out) {
   }
   out << "\n  ]\n";
   out << "}\n";
+}
+
+void Runtime::write_chrome_trace(std::ostream& out) const {
+  std::vector<obs::HostTracks> hosts;
+  if (has_fabric()) {
+    const fabric::Topology& topo = fabric_->topology();
+    for (int h = 0; h < num_hosts(); ++h) {
+      obs::HostTracks& t = hosts.emplace_back();
+      t.name = fabric_->host(h).name();
+      t.first_pe = h * options_.pes_per_host;
+      t.pes = options_.pes_per_host;
+      for (int p = 0; p < topo.degree(h); ++p) {
+        t.ports.push_back(topo.port(h, p).name);
+      }
+    }
+  }
+  obs::write_chrome_trace(obs_.tracer, obs_.causal, hosts, out);
 }
 
 void Runtime::dump_flight(std::ostream& out) const {

@@ -72,8 +72,6 @@ class Context {
   // Translates a symmetric address to its heap offset; throws
   // std::invalid_argument for non-symmetric pointers.
   std::uint64_t symmetric_offset(const void* p) const;
-  // Local address of the same symmetric object on this PE.
-  void* symmetric_ptr(std::uint64_t offset) { return heap_.ptr(offset); }
 
   // ---- RMA -----------------------------------------------------------------
   void putmem(void* dest, const void* src, std::size_t nbytes, int target_pe);
@@ -161,8 +159,6 @@ class Runtime {
 
   const RuntimeOptions& options() const { return options_; }
   sim::Engine& engine() { return engine_; }
-  // The resolved data-path backend (options.backend x NTBSHMEM_BACKEND).
-  backend::Kind backend_kind() const { return backend_kind_; }
   backend::Backend& backend() { return *backend_; }
   bool has_fabric() const { return fabric_ != nullptr; }
   // Sim-backend-only accessors; throw std::logic_error on the shm backend
@@ -184,8 +180,9 @@ class Runtime {
   // (under fork it is the only road a PE's results travel back on).
   std::span<std::byte> pe_scratch(int pe);
 
-  // Observability hub: typed span tracer + metrics registry. Always
-  // attached to the engine; spans record only when options().obs asks.
+  // Observability hub: event tracer, causal recorder, metrics registry.
+  // Always attached to the engine; spans record only when options().obs
+  // asks.
   obs::Hub& obs() { return obs_; }
   const obs::Hub& obs() const { return obs_; }
 
@@ -199,6 +196,11 @@ class Runtime {
   // busy_ns), aggregate transport counters and the fault-plan retransmit
   // bound — the complete input contract of tools/tracecheck.
   void write_causal_trace(std::ostream& out);
+  // Writes the Chrome trace-event timeline (Perfetto): the tracer's device
+  // events merged with the causal recorder's op, service and frame spans,
+  // on tracks named after the fabric's hosts and ports and the PEs
+  // (obs::write_chrome_trace). Tracer-only on the shm backend.
+  void write_chrome_trace(std::ostream& out) const;
   // Upper bound on legitimate retransmits implied by what the fault plan
   // actually injected: 0 on a fault-free run, else every injected fault may
   // cost a full retry ladder and every link flap may strand a window of

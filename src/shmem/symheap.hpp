@@ -73,7 +73,6 @@ class SymmetricHeap {
     return chunk_bytes_ * chunks_.size();
   }
   std::uint64_t bytes_in_use() const { return in_use_; }
-  std::size_t live_allocations() const { return allocations_.size(); }
   // Live allocations as sorted (virtual offset, length) pairs — lets the
   // model checker hash exactly the bytes applications can observe, skipping
   // freed regions and unallocated chunk tails.

@@ -22,44 +22,37 @@ std::uint64_t reassembly_key(std::uint8_t origin, std::uint32_t id) {
 }  // namespace
 
 // One instrumented step of the calling simulated process (DESIGN.md §4h).
-// It opens the step's Tracer slice, causal span and Perfetto flow record
-// together and closes them when it goes out of scope, early returns
-// included. A step that causes further work (an op root, an rx service, a
-// forward leg) also installs its span as the process's current cause and
-// restores the previous cause on exit, ProcessKilled unwinding included; a
-// leaf step (dma, copy, retransmit) records under the current cause
-// without becoming it. Every part is a no-op while its recorder is off.
+// It opens the step's causal span and closes it when it goes out of scope,
+// early returns included; the Perfetto export draws op, service and frame
+// spans from the recorder (obs/export.hpp). A step that causes further work
+// (an op root, an rx service, a forward leg) also installs its span as the
+// process's current cause and restores the previous cause on exit,
+// ProcessKilled unwinding included; a leaf step (dma, copy, retransmit)
+// records under the current cause without becoming it. A no-op while
+// causal recording is off.
 class Transport::Step {
  public:
-  // Root of an operation issued by resident PE `pe`: a slice on the PE's
-  // track, the causal root of op `family`, and the flow start that every
-  // rx slice of the trace steps to.
-  static Step op(Transport& t, int pe, obs::CategoryId cat, obs::EventId ev,
-                 std::uint64_t family, std::uint64_t bytes) {
-    return Step(t, Slice{t.tracer_, t.pe_track(pe), cat, ev}, Role::kRoot,
-                {}, obs::SpanKind::kOp, -1, family, bytes);
+  // Root of an operation issued by resident PE `pe`: the causal root of op
+  // `family`, which every span the operation causes hangs under.
+  static Step op(Transport& t, int pe, std::uint64_t family,
+                 std::uint64_t bytes) {
+    return Step(t, Role::kRoot, {}, obs::SpanKind::kOp, pe, family, bytes);
   }
   // Receive service of a frame that arrived through port `from`, under the
-  // frame's wire context: a slice on the port's rx track, a service span,
-  // and a flow step linking the slice back to the op.
+  // frame's wire context.
   static Step service(Transport& t, int from) {
-    const obs::TrackId track =
-        t.rx_tracks_.empty() ? obs::TrackId{0}
-                             : t.rx_tracks_[static_cast<std::size_t>(from)];
-    return Step(t, Slice{t.tracer_, track, t.cat_frame_, t.ev_process_frame_},
-                Role::kCause, t.current_cause(), obs::SpanKind::kService, from,
-                0, 0);
+    return Step(t, Role::kCause, t.current_cause(), obs::SpanKind::kService,
+                from, 0, 0);
   }
   // Forward leg of an outbound item, under the context it was queued with.
   static Step forward(Transport& t, const OutboundItem& item) {
-    return Step(t, {}, Role::kCause, item.ctx, obs::SpanKind::kForward,
-                item.port, static_cast<std::uint64_t>(item.kind),
-                item.message.size());
+    return Step(t, Role::kCause, item.ctx, obs::SpanKind::kForward, item.port,
+                static_cast<std::uint64_t>(item.kind), item.message.size());
   }
   // Leaf span under the current cause.
   static Step leaf(Transport& t, obs::SpanKind kind, int port,
                    std::uint64_t a = 0, std::uint64_t b = 0) {
-    return Step(t, {}, Role::kLeaf, t.current_cause(), kind, port, a, b);
+    return Step(t, Role::kLeaf, t.current_cause(), kind, port, a, b);
   }
   // Runs the rest of the scope under an existing span: a frame's wire
   // context, a message header's context, an in-flight frame re-staged.
@@ -69,43 +62,21 @@ class Transport::Step {
   Step& operator=(const Step&) = delete;
   ~Step() {
     if (process_ != nullptr) process_->set_cause(prev_cause_);
-    const sim::Time now = t_.runtime_.engine().now();
-    if (span_ != 0) t_.causal_->end(span_, now);
-    if (slice_.tracer != nullptr) {
-      slice_.tracer->end(slice_.track, slice_.cat, slice_.ev, now);
-    }
+    if (span_ != 0) t_.causal_->end(span_, t_.runtime_.engine().now());
   }
 
  private:
-  struct Slice {
-    obs::Tracer* tracer = nullptr;  // null: no slice
-    obs::TrackId track = 0;
-    obs::CategoryId cat = 0;
-    obs::EventId ev = 0;
-  };
   enum class Role : std::uint8_t { kRoot, kCause, kLeaf };
 
-  Step(Transport& t, Slice slice, Role role, const obs::TraceCtx& cause,
-       obs::SpanKind kind, int port, std::uint64_t a, std::uint64_t b)
-      : t_(t), slice_(slice) {
-    const sim::Time now = t.runtime_.engine().now();
-    if (slice_.tracer != nullptr) {
-      slice_.tracer->begin(slice_.track, slice_.cat, slice_.ev, now);
-    }
+  // `where` is the issuing PE of a root and the port of any other span.
+  Step(Transport& t, Role role, const obs::TraceCtx& cause, obs::SpanKind kind,
+       int where, std::uint64_t a, std::uint64_t b)
+      : t_(t) {
     if (!t.causal_on()) return;
+    const sim::Time now = t.runtime_.engine().now();
     span_ = role == Role::kRoot
-                ? t.causal_->begin_root(kind, t.host_id_, now, a, b)
-                : t.causal_->begin(cause, kind, t.host_id_, port, now, a, b);
-    if (span_ != 0 && slice_.tracer != nullptr) {
-      const std::uint64_t trace = t.causal_->ctx_of(span_).trace_id;
-      if (role == Role::kRoot) {
-        slice_.tracer->flow_start(slice_.track, slice_.cat, slice_.ev, now,
-                                  trace);
-      } else {
-        slice_.tracer->flow_step(slice_.track, slice_.cat, slice_.ev, now,
-                                 trace);
-      }
-    }
+                ? t.causal_->begin_root(kind, t.host_id_, where, now, a, b)
+                : t.causal_->begin(cause, kind, t.host_id_, where, now, a, b);
     if (role != Role::kLeaf) install(span_);
   }
   Step(Transport& t, std::uint64_t span) : t_(t) {
@@ -119,7 +90,6 @@ class Transport::Step {
   }
 
   Transport& t_;
-  Slice slice_;
   std::uint64_t span_ = 0;           // owned causal span, closed on exit
   sim::Process* process_ = nullptr;  // set when this step installed a cause
   std::uint64_t prev_cause_ = 0;
@@ -176,38 +146,11 @@ Transport::Transport(Runtime& runtime, int host_id)
 void Transport::init_obs() {
   obs::Hub* hub = runtime_.engine().obs();
   if (hub == nullptr) return;
-  tracer_ = &hub->tracer;
   causal_ = &hub->causal;
   const std::string host_name = fabric().host(host_id_).name();
   // The flight recorder is registered unconditionally (it is always on);
   // registration order is host-construction order, so dumps are stable.
   hub->flights.emplace_back(host_name, &flight_);
-  for (int i = 0; i < pes_per_host(); ++i) {
-    pe_tracks_.push_back(
-        tracer_->track(host_name, "pe" + std::to_string(leader_pe() + i)));
-  }
-  // Interned in port order — a ring host gets "frames_right" (port 0) then
-  // "frames_left" (port 1), the historical track layout. Frame processing
-  // gets one named track per ingress adapter ("rx_service@right", ...), so
-  // spans from different in-ports no longer interleave on one row.
-  const fabric::Topology& topo = fabric().topology();
-  for (int p = 0; p < degree(); ++p) {
-    rx_tracks_.push_back(tracer_->track(
-        host_name, "rx_service@" + topo.port(host_id_, p).name));
-  }
-  for (int p = 0; p < degree(); ++p) {
-    frames_track_.push_back(
-        tracer_->track(host_name, "frames_" + topo.port(host_id_, p).name));
-  }
-  cat_op_ = tracer_->category("op");
-  cat_frame_ = tracer_->category("frame");
-  cat_barrier_ = tracer_->category("barrier");
-  ev_put_ = tracer_->event("put");
-  ev_get_ = tracer_->event("get");
-  ev_atomic_ = tracer_->event("atomic");
-  ev_barrier_ = tracer_->event("barrier");
-  ev_frame_ = tracer_->event("frame_inflight");
-  ev_process_frame_ = tracer_->event("process_frame");
 
   obs::MetricsRegistry& reg = hub->metrics;
   const std::string prefix = host_name + ".transport";
@@ -244,14 +187,10 @@ void Transport::init_obs() {
   probe("dma_retries", &stats_.dma_retries);
 }
 
-void Transport::end_frame_span(int p, const TxChannel::InFlight& rec) {
-  if (tracer_ != nullptr && rec.obs_span != 0) {
-    tracer_->async_end(frames_track_[static_cast<std::size_t>(p)], cat_frame_,
-                       ev_frame_, runtime_.engine().now(), rec.obs_span);
-  }
-  // The retiring ack also closes the frame's causal span — a kFrame left
-  // open in the export is precisely "a doorbell with no matching ack"
-  // (tracecheck invariant).
+void Transport::end_frame_span(const TxChannel::InFlight& rec) {
+  // The retiring ack closes the frame's causal span — a kFrame left open in
+  // the export is precisely "a doorbell with no matching ack" (tracecheck
+  // invariant).
   if (rec.causal_id != 0) causal_->end(rec.causal_id, runtime_.engine().now());
 }
 
@@ -410,7 +349,9 @@ void Transport::start_services() {
 }
 
 void Transport::on_rx_token(int from, RxTokenKind kind) {
-  RxToken token{from, kind, {}};
+  RxToken token;
+  token.from = from;
+  token.kind = kind;
   if (kind == RxTokenKind::kFrame) {
     // ISR context: consume the oldest *data* snapshot the adapter latched
     // (free; the service thread charges the reads). The accept mask keeps a
@@ -433,7 +374,7 @@ void Transport::on_ack(int p) {
     }
     const TxChannel::InFlight rec = ch.inflight.front();
     ch.inflight.pop_front();
-    end_frame_span(p, rec);
+    end_frame_span(rec);
     flight_.log(runtime_.engine().now(), obs::FlightCode::kAck,
                 static_cast<std::uint16_t>(p), rec.hdr.id);
     // Return the staging slot before the credit so a woken sender always
@@ -468,7 +409,7 @@ void Transport::retire_acked(int p, std::uint8_t acked) {
          static_cast<std::int8_t>(ch.inflight.front().seq - acked) <= 0) {
     TxChannel::InFlight rec = ch.inflight.front();
     ch.inflight.pop_front();
-    end_frame_span(p, rec);
+    end_frame_span(rec);
     rec.retx_timer.cancel();
     ch.free_slots.push_back(rec.stage_slot);
     ch.slot.release();
@@ -548,17 +489,9 @@ void Transport::emit_frame_inflight(int p, const FrameHeader& hdr,
     rec.doorbell = doorbell;
     rec.hdr = h;
   }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // Frame lifetime span (emission -> retiring ack) on the channel's
-    // frame track; async because credits allow overlapping lifetimes.
-    rec.obs_span = tracer_->next_async_id();
-    tracer_->async_begin(frames_track_[static_cast<std::size_t>(p)],
-                         cat_frame_, ev_frame_, runtime_.engine().now(),
-                         rec.obs_span);
-  }
   if (causal_on()) {
-    // Causal frame span: open at emission, closed by the retiring ack. The
-    // wire context names THIS span as parent and is re-staged verbatim on
+    // Frame lifetime span: open at emission, closed by the retiring ack
+    // (credits allow overlapping lifetimes on one channel). The wire context names THIS span as parent and is re-staged verbatim on
     // every retransmit, so the receiver links to the same node no matter
     // which emission attempt delivered.
     rec.causal_id =
@@ -893,8 +826,7 @@ void Transport::enqueue_outbound(OutboundItem item) {
 void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
                     int target_pe, int origin_pe, int domain) {
   sim::Engine& engine = runtime_.engine();
-  const Step root =
-      Step::op(*this, origin_pe, cat_op_, ev_put_, obs::kFamilyPut, src.size());
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyPut, src.size());
   flight_.log(engine.now(), obs::FlightCode::kPut,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(src.size()));
@@ -973,8 +905,7 @@ void Transport::local_put(std::uint64_t heap_offset,
 std::uint32_t Transport::get_nbi(std::uint64_t heap_offset,
                                  std::span<std::byte> dst, int source_pe,
                                  int origin_pe, int domain) {
-  const Step root =
-      Step::op(*this, origin_pe, cat_op_, ev_get_, obs::kFamilyGet, dst.size());
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyGet, dst.size());
   return issue_get(heap_offset, dst, source_pe, origin_pe, domain);
 }
 
@@ -1006,8 +937,7 @@ std::uint32_t Transport::issue_get(std::uint64_t heap_offset,
 void Transport::get(std::uint64_t heap_offset, std::span<std::byte> dst,
                     int source_pe, int origin_pe) {
   sim::Engine& engine = runtime_.engine();
-  const Step root =
-      Step::op(*this, origin_pe, cat_op_, ev_get_, obs::kFamilyGet, dst.size());
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyGet, dst.size());
   engine.wait_for(timing().sw_overhead);
   if (dst.empty()) return;
   if (is_resident(source_pe)) {
@@ -1033,8 +963,7 @@ std::uint64_t Transport::atomic(AtomicOp op, std::uint64_t heap_offset,
                                 std::uint64_t operand1,
                                 std::uint64_t operand2, int origin_pe) {
   sim::Engine& engine = runtime_.engine();
-  const Step root = Step::op(*this, origin_pe, cat_op_, ev_atomic_,
-                             obs::kFamilyAtomic, width);
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(op));
@@ -1081,8 +1010,7 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
                             std::uint64_t operand1, int origin_pe,
                             int domain) {
   sim::Engine& engine = runtime_.engine();
-  const Step root = Step::op(*this, origin_pe, cat_op_, ev_atomic_,
-                             obs::kFamilyAtomic, width);
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
               static_cast<std::uint16_t>(target_pe),
               static_cast<std::uint32_t>(op));
@@ -1192,8 +1120,7 @@ void Transport::barrier(int origin_pe) {
   // Each participating PE roots its own barrier trace; the trees link
   // across hosts through the token frames' wire contexts (a leader's tree
   // spans its whole subtree of the token exchange).
-  const Step root = Step::op(*this, origin_pe, cat_barrier_, ev_barrier_,
-                             obs::kFamilyBarrier, 0);
+  const Step root = Step::op(*this, origin_pe, obs::kFamilyBarrier, 0);
   flight_.log(engine.now(), obs::FlightCode::kBarrier,
               static_cast<std::uint16_t>(origin_pe));
   const sim::Time barrier_t0 = engine.now();

@@ -267,9 +267,6 @@ class Transport {
       int retries = 0;
       FrameHeader hdr;
       sim::CallbackHandle retx_timer;
-      // Async-span id of the frame's lifetime on the exported timeline
-      // (emission -> retiring ack); 0 when tracing is off.
-      std::uint64_t obs_span = 0;
       // Causal-trace bookkeeping (0/null when causal recording is off).
       // `causal_id` is the kFrame span closed by the retiring ack;
       // `wire_ctx` is the context staged with every (re)emission — its
@@ -486,18 +483,11 @@ class Transport {
   void send_barrier_token(int dst_host, int phase);
 
   // ---- observability ----
-  // Caches tracks/categories/instruments from the engine's obs::Hub (no-op
-  // without one); called once from the constructor.
+  // Caches the causal recorder and metric instruments from the engine's
+  // obs::Hub (no-op without one); called once from the constructor.
   void init_obs();
-  // Track of the calling PE (per-resident-PE span attribution); 0 when no
-  // hub is attached.
-  obs::TrackId pe_track(int origin_pe) const {
-    return pe_tracks_.empty()
-               ? 0
-               : pe_tracks_[static_cast<std::size_t>(origin_pe - leader_pe())];
-  }
-  // Closes a retired frame's lifetime span (ACK time).
-  void end_frame_span(int p, const TxChannel::InFlight& rec);
+  // Closes a retired frame's causal span (ACK time).
+  void end_frame_span(const TxChannel::InFlight& rec);
   // Charges the CPU cost of a local DRAM-to-DRAM copy.
   void charge_local_copy(std::uint64_t bytes);
   // Models the service thread's scheduling latency after an idle wake.
@@ -591,25 +581,9 @@ class Transport {
   // Only TransportTestPeer sets it; the runtime never does.
   bool bug_ack_before_write_ = false;
 
-  // Observability: interned ids + instruments cached by init_obs(). The
-  // tracer pointer stays null without a hub; counters/histograms fall back
-  // to the shared null instruments so hot paths never branch.
-  obs::Tracer* tracer_ = nullptr;
-  std::vector<obs::TrackId> pe_tracks_;       // one per resident PE
-  // Per-ingress-port RX processing tracks ("rx_service@<portname>"): frames
-  // arriving through different adapters get their own named timeline rows
-  // instead of interleaving on one shared "rx_service" track.
-  std::vector<obs::TrackId> rx_tracks_;
-  std::vector<obs::TrackId> frames_track_;    // per adapter/port
-  obs::CategoryId cat_op_ = 0;
-  obs::CategoryId cat_frame_ = 0;
-  obs::CategoryId cat_barrier_ = 0;
-  obs::EventId ev_put_ = 0;
-  obs::EventId ev_get_ = 0;
-  obs::EventId ev_atomic_ = 0;
-  obs::EventId ev_barrier_ = 0;
-  obs::EventId ev_frame_ = 0;
-  obs::EventId ev_process_frame_ = 0;
+  // Observability: instruments cached by init_obs(). Without a hub the
+  // counters/histograms fall back to the shared null instruments so hot
+  // paths never branch.
   obs::Counter* obs_credit_stalls_ = obs::MetricsRegistry::null_counter();
   obs::Counter* obs_credit_stall_ns_ = obs::MetricsRegistry::null_counter();
   obs::Histogram* obs_credit_stall_hist_ =

@@ -120,8 +120,6 @@ class CalendarQueue {
   }
 
   // Structure diagnostics (tests + bench reporting).
-  int width_shift() const { return width_shift_; }
-  std::size_t overflow_size() const { return size_ - wheel_count_; }
   std::uint64_t re_anchor_count() const { return re_anchors_; }
 
  private:

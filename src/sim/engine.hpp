@@ -260,7 +260,6 @@ class Engine {
   // schedule exactly (same dispatch order, same digests). The hook is not
   // owned and must outlive the run.
   void set_branch_hook(BranchHook* hook) { hook_ = hook; }
-  BranchHook* branch_hook() const { return hook_; }
 
   // Order-insensitive FNV hash of the engine's schedulable state: every
   // non-stale queue item folded as (t - now, kind, process name) with a

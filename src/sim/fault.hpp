@@ -131,10 +131,6 @@ class FaultPlan {
   // restores the seeded behavior.
   void set_branch_hook(BranchHook* hook, std::uint32_t site_mask,
                        int fire_budget);
-  BranchHook* branch_hook() const { return hook_; }
-  // Firings consumed from the budget on the current run (reset by
-  // set_branch_hook).
-  int fires_used() const { return fires_used_; }
 
   // ---- Decision sites (called by the hardware models) -----------------------
   // True => this doorbell ring is silently lost.

@@ -47,12 +47,16 @@ std::string topology_name(const fabric::TopologySpec& spec) {
       return "ring";
     case fabric::TopologyKind::kChordal: {
       std::string s = "chordal";
-      for (const int skip : spec.skips) s += "+" + std::to_string(skip);
+      for (const int skip : spec.skips) {
+        s.append("+").append(std::to_string(skip));
+      }
       return s;
     }
     case fabric::TopologyKind::kTorus2D:
-      return "torus2d-" + std::to_string(spec.rows) + "x" +
-             std::to_string(spec.cols);
+      return std::string("torus2d-")
+          .append(std::to_string(spec.rows))
+          .append("x")
+          .append(std::to_string(spec.cols));
     case fabric::TopologyKind::kFullMesh:
       return "fullmesh";
   }
@@ -73,8 +77,7 @@ std::string fault_plan_name(const sim::FaultSpec& faults) {
   const auto add = [&](const char* tag, double p) {
     if (p <= 0.0) return;
     if (!s.empty()) s += ",";
-    s += tag;
-    s += "=" + fmt_g(p);
+    s.append(tag).append("=").append(fmt_g(p));
   };
   add("doorbell_drop", faults.doorbell_drop);
   add("scratchpad_corrupt", faults.scratchpad_corrupt);

@@ -92,7 +92,8 @@ void expect_backends_agree(int npes, const std::function<void()>& body) {
 constexpr int kNpes = 4;
 
 std::uint8_t pattern(int pe, std::size_t i) {
-  return static_cast<std::uint8_t>((pe * 37 + i * 11 + 5) & 0xff);
+  return static_cast<std::uint8_t>(
+      (static_cast<std::size_t>(pe) * 37 + i * 11 + 5) & 0xff);
 }
 
 TEST(BackendConformance, BlockingPutGetRoundTrip) {

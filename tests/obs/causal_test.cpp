@@ -11,7 +11,7 @@ namespace {
 TEST(CausalRecorder, DisabledRecorderRecordsNothing) {
   CausalRecorder rec;
   EXPECT_FALSE(rec.enabled());
-  EXPECT_EQ(rec.begin_root(SpanKind::kOp, 0, 100), 0u);
+  EXPECT_EQ(rec.begin_root(SpanKind::kOp, 0, 0, 100), 0u);
   EXPECT_EQ(rec.begin(TraceCtx{1, 1, 0}, SpanKind::kFrame, 0, 0, 100), 0u);
   EXPECT_TRUE(rec.spans().empty());
   EXPECT_FALSE(rec.ctx_of(0).valid());
@@ -30,7 +30,8 @@ TEST(CausalRecorder, RootAndChildLinkage) {
   CausalRecorder rec;
   rec.set_enabled(true);
   const std::uint64_t root =
-      rec.begin_root(SpanKind::kOp, /*host=*/2, /*t0=*/100, kFamilyPut, 4096);
+      rec.begin_root(SpanKind::kOp, /*host=*/2, /*pe=*/5, /*t0=*/100,
+                     kFamilyPut, 4096);
   ASSERT_EQ(root, 1u);
   const TraceCtx ctx = rec.ctx_of(root);
   EXPECT_TRUE(ctx.valid());
@@ -55,16 +56,19 @@ TEST(CausalRecorder, RootAndChildLinkage) {
   EXPECT_EQ(c->t0, 120);
   EXPECT_EQ(c->t1, 150);
   EXPECT_EQ(rec.find(root)->t1, 160);
+  EXPECT_EQ(rec.find(root)->pe, 5);
+  EXPECT_EQ(c->pe, -1);  // only op roots name their issuing PE
   // A second root starts a new trace.
   const std::uint64_t root2 =
-      rec.begin_root(SpanKind::kOp, 0, 200, kFamilyGet, 8);
+      rec.begin_root(SpanKind::kOp, 0, 0, 200, kFamilyGet, 8);
   EXPECT_EQ(rec.find(root2)->trace_id, 2u);
 }
 
 TEST(CausalRecorder, HopRidesTheContext) {
   CausalRecorder rec;
   rec.set_enabled(true);
-  const std::uint64_t root = rec.begin_root(SpanKind::kOp, 0, 0, kFamilyPut, 1);
+  const std::uint64_t root =
+      rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1);
   TraceCtx fwd = rec.ctx_of(root);
   fwd.hop = 2;  // what a two-hop forward stamps into the wire context
   const std::uint64_t svc = rec.begin(fwd, SpanKind::kService, 2, 0, 50);
@@ -75,7 +79,8 @@ TEST(CausalRecorder, HopRidesTheContext) {
 TEST(CriticalPath, PicksTheLatestEndingChain) {
   CausalRecorder rec;
   rec.set_enabled(true);
-  const std::uint64_t root = rec.begin_root(SpanKind::kOp, 0, 0, kFamilyPut, 1);
+  const std::uint64_t root =
+      rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1);
   const TraceCtx rctx = rec.ctx_of(root);
   const std::uint64_t fa = rec.begin(rctx, SpanKind::kFrame, 0, 0, 10);
   const std::uint64_t fb = rec.begin(rctx, SpanKind::kFrame, 0, 1, 20);
@@ -108,14 +113,14 @@ TEST(CriticalPath, FamilyBreakdownAggregatesRoots) {
   rec.set_enabled(true);
   for (int i = 0; i < 2; ++i) {
     const std::uint64_t put =
-        rec.begin_root(SpanKind::kOp, 0, i * 1000, kFamilyPut, 64);
+        rec.begin_root(SpanKind::kOp, 0, 0, i * 1000, kFamilyPut, 64);
     const std::uint64_t f =
         rec.begin(rec.ctx_of(put), SpanKind::kFrame, 0, 0, i * 1000 + 10);
     rec.end(f, i * 1000 + 60);
     rec.end(put, i * 1000 + 50);
   }
   const std::uint64_t get =
-      rec.begin_root(SpanKind::kOp, 1, 5000, kFamilyGet, 8);
+      rec.begin_root(SpanKind::kOp, 1, 1, 5000, kFamilyGet, 8);
   rec.end(get, 5200);
 
   const std::vector<FamilyBreakdown> fams = critical_path_by_family(rec);
@@ -133,10 +138,10 @@ TEST(CriticalPath, FamilyBreakdownAggregatesRoots) {
 TEST(CausalRecorder, ClearResetsIdsAndTraces) {
   CausalRecorder rec;
   rec.set_enabled(true);
-  rec.begin_root(SpanKind::kOp, 0, 0, kFamilyPut, 1);
+  rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1);
   rec.clear();
   EXPECT_TRUE(rec.spans().empty());
-  EXPECT_EQ(rec.begin_root(SpanKind::kOp, 0, 0, kFamilyPut, 1), 1u);
+  EXPECT_EQ(rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1), 1u);
   EXPECT_EQ(rec.find(1)->trace_id, 1u);
 }
 

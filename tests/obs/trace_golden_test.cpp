@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../shmem/chrome_events.hpp"
 #include "json_check.hpp"
 #include "obs/export.hpp"
 #include "shmem/api.hpp"
@@ -23,6 +24,8 @@ namespace {
 
 using obs::testing::count_occurrences;
 using obs::testing::json_well_formed;
+using testing::chrome_event_lines;
+using testing::chrome_field;
 
 RuntimeOptions traced_options() {
   RuntimeOptions opts;
@@ -57,35 +60,9 @@ std::string run_and_export(obs::Snapshot* metrics = nullptr) {
   Runtime rt(traced_options());
   rt.run(put_barrier_workload);
   std::ostringstream out;
-  obs::write_chrome_trace(rt.obs().tracer, out);
+  rt.write_chrome_trace(out);
   if (metrics != nullptr) *metrics = rt.obs().metrics.snapshot();
   return out.str();
-}
-
-// The exporter emits one event per line; pull a JSON field's raw value off a
-// line (fields are emitted without optional whitespace).
-std::string field(const std::string& line, const std::string& key) {
-  const std::string tag = "\"" + key + "\":";
-  const std::size_t at = line.find(tag);
-  if (at == std::string::npos) return {};
-  const std::size_t start = at + tag.size();
-  std::size_t end = start;
-  if (line[end] == '"') {  // string value
-    end = line.find('"', end + 1);
-    return line.substr(start + 1, end - start - 1);
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
-}
-
-std::vector<std::string> event_lines(const std::string& json) {
-  std::vector<std::string> lines;
-  std::istringstream in(json);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"ph\":\"") != std::string::npos) lines.push_back(line);
-  }
-  return lines;
 }
 
 TEST(TraceGoldenTest, ExportIsWellFormedWithPerHostProcesses) {
@@ -120,11 +97,11 @@ TEST(TraceGoldenTest, SpanPhasesBalanceOnEveryTrack) {
   std::map<std::string, int> depth;
   std::map<std::string, int> async_open;
   std::size_t events = 0;
-  for (const std::string& line : event_lines(json)) {
-    const std::string ph = field(line, "ph");
+  for (const std::string& line : chrome_event_lines(json)) {
+    const std::string ph = chrome_field(line, "ph");
     if (ph == "M") continue;
     ++events;
-    const std::string tid = field(line, "tid");
+    const std::string tid = chrome_field(line, "tid");
     ASSERT_FALSE(tid.empty()) << line;
     if (ph == "B") {
       ++depth[tid];
@@ -132,9 +109,9 @@ TEST(TraceGoldenTest, SpanPhasesBalanceOnEveryTrack) {
       ASSERT_GT(depth[tid], 0) << "E without B on tid " << tid << ": " << line;
       --depth[tid];
     } else if (ph == "b") {
-      ++async_open[tid + "/" + field(line, "id")];
+      ++async_open[tid + "/" + chrome_field(line, "id")];
     } else if (ph == "e") {
-      const std::string key = tid + "/" + field(line, "id");
+      const std::string key = tid + "/" + chrome_field(line, "id");
       ASSERT_EQ(async_open[key], 1) << "unmatched async end: " << line;
       --async_open[key];
     }
@@ -195,7 +172,7 @@ TEST(TraceGoldenTest, DisabledSpansRecordNothing) {
 
   EXPECT_EQ(rt.obs().tracer.total_records(), 0u);
   std::ostringstream out;
-  obs::write_chrome_trace(rt.obs().tracer, out);
+  rt.write_chrome_trace(out);
   EXPECT_TRUE(json_well_formed(out.str()));
   EXPECT_EQ(count_occurrences(out.str(), "\"ph\":\"B\""), 0u);
 

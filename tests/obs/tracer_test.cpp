@@ -50,8 +50,6 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   const CategoryId cat = tr.category("op");
   const EventId ev = tr.event("put");
   ASSERT_FALSE(tr.enabled());  // off is the default: benches must not pay
-  tr.begin(t, cat, ev, 10);
-  tr.end(t, cat, ev, 20);
   tr.instant(t, cat, ev, 30, 1.0);
   tr.counter(t, ev, 40, 2.0);
   tr.async_begin(t, cat, ev, 50, 1);
@@ -67,20 +65,20 @@ TEST(TracerTest, SpanNestingIsPreservedInRecordOrder) {
   const CategoryId cat = tr.category("op");
   const EventId outer = tr.event("barrier");
   const EventId inner = tr.event("put");
-  tr.begin(t, cat, outer, 100);
-  tr.begin(t, cat, inner, 110);
-  tr.end(t, cat, inner, 120);
-  tr.end(t, cat, outer, 130);
+  tr.async_begin(t, cat, outer, 100, 1);
+  tr.async_begin(t, cat, inner, 110, 2);
+  tr.async_end(t, cat, inner, 120, 2);
+  tr.async_end(t, cat, outer, 130, 1);
 
   const auto& recs = tr.tracks()[t].records;
   ASSERT_EQ(recs.size(), 4u);
-  EXPECT_EQ(recs[0].kind, RecordKind::kBegin);
+  EXPECT_EQ(recs[0].kind, RecordKind::kAsyncBegin);
   EXPECT_EQ(recs[0].event, outer);
-  EXPECT_EQ(recs[1].kind, RecordKind::kBegin);
+  EXPECT_EQ(recs[1].kind, RecordKind::kAsyncBegin);
   EXPECT_EQ(recs[1].event, inner);
-  EXPECT_EQ(recs[2].kind, RecordKind::kEnd);
+  EXPECT_EQ(recs[2].kind, RecordKind::kAsyncEnd);
   EXPECT_EQ(recs[2].event, inner);
-  EXPECT_EQ(recs[3].kind, RecordKind::kEnd);
+  EXPECT_EQ(recs[3].kind, RecordKind::kAsyncEnd);
   EXPECT_EQ(recs[3].event, outer);
   for (std::size_t i = 1; i < recs.size(); ++i) {
     EXPECT_LE(recs[i - 1].t, recs[i].t);  // sim time is monotonic per track
@@ -131,8 +129,8 @@ TEST(TracerTest, ClearDropsRecordsButKeepsIdsValid) {
   const TrackId t = tr.track("host0", "pe0");
   const CategoryId cat = tr.category("op");
   const EventId ev = tr.event("put");
-  tr.begin(t, cat, ev, 1);
-  tr.end(t, cat, ev, 2);
+  tr.async_begin(t, cat, ev, 1, 1);
+  tr.async_end(t, cat, ev, 2, 1);
   ASSERT_EQ(tr.total_records(), 2u);
 
   tr.clear();

@@ -115,8 +115,12 @@ TEST(ApiSurface, SingleElementPG) {
     shmem_barrier_all();
     if (shmem_my_pe() == 0) shmem_double_p(x, 3.25, 1);
     shmem_barrier_all();
-    if (shmem_my_pe() == 1) EXPECT_DOUBLE_EQ(*x, 3.25);
-    if (shmem_my_pe() == 0) EXPECT_DOUBLE_EQ(shmem_double_g(x, 1), 3.25);
+    if (shmem_my_pe() == 1) {
+      EXPECT_DOUBLE_EQ(*x, 3.25);
+    }
+    if (shmem_my_pe() == 0) {
+      EXPECT_DOUBLE_EQ(shmem_double_g(x, 1), 3.25);
+    }
     shmem_barrier_all();
     shmem_finalize();
   });

@@ -69,7 +69,9 @@ TEST(AtomicsTest, CompareSwapSemantics) {
       EXPECT_EQ(shmem_long_atomic_fetch(word, 0), 100);
     }
     shmem_barrier_all();
-    if (shmem_my_pe() == 0) EXPECT_EQ(*word, 100);
+    if (shmem_my_pe() == 0) {
+      EXPECT_EQ(*word, 100);
+    }
     shmem_finalize();
   });
 }
@@ -173,7 +175,9 @@ TEST(AtomicsTest, LegacyAliases) {
       EXPECT_EQ(shmem_int_swap(word, 60, 0), 50);
     }
     shmem_barrier_all();
-    if (shmem_my_pe() == 0) EXPECT_EQ(*word, 60);
+    if (shmem_my_pe() == 0) {
+      EXPECT_EQ(*word, 60);
+    }
     shmem_finalize();
   });
 }

@@ -68,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, BarrierAlgTest,
                          ::testing::Values(BarrierAlgorithm::kPaperRing,
                                            BarrierAlgorithm::kCentralized,
                                            BarrierAlgorithm::kDissemination),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case BarrierAlgorithm::kPaperRing:
                                return "PaperRing";
                              case BarrierAlgorithm::kCentralized:
@@ -94,7 +94,9 @@ TEST(BarrierTest, BarrierDrainsOutstandingPuts) {
       shmem_putmem(flag, &v, sizeof v, 3);  // 3 hops rightward
     }
     shmem_barrier_all();
-    if (shmem_my_pe() == 3) EXPECT_EQ(*flag, 42);
+    if (shmem_my_pe() == 3) {
+      EXPECT_EQ(*flag, 42);
+    }
     shmem_finalize();
   });
 }

@@ -107,8 +107,8 @@ TEST_P(BoundarySweep, GetReadsExactBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Hops, BoundarySweep, ::testing::Values(1, 2),
-                         [](const auto& info) {
-                           return "hops" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "hops" + std::to_string(param_info.param);
                          });
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "chrome_events.hpp"
 #include "obs/causal.hpp"
-#include "obs/trace.hpp"
 #include "shmem/api.hpp"
 #include "shmem_test_util.hpp"
 
@@ -220,9 +220,10 @@ TEST(CausalE2E, Torus16TreeBarrierLinksTokensIntoBarrierRoots) {
 }
 
 // Every Perfetto flow arrow needs its origin: each trace id that some rx
-// service slice steps must have exactly one flow_start at an op slice.
-// put-with-signal roots its signal leg as its own atomic op, and a direct
-// getmem_nbi roots its own get; both must start their flows.
+// service slice steps must have exactly one flow start at an op slice in
+// the exported timeline. put-with-signal roots its signal leg as its own
+// atomic op, and a direct getmem_nbi roots its own get; both must start
+// their flows.
 TEST(CausalE2E, EveryFlowStepHasExactlyOneStart) {
   RuntimeOptions opts = test_options(3);
   opts.obs.spans_enabled = true;
@@ -244,13 +245,14 @@ TEST(CausalE2E, EveryFlowStepHasExactlyOneStart) {
     shmem_finalize();
   });
 
+  std::ostringstream timeline;
+  rt.write_chrome_trace(timeline);
   std::map<std::uint64_t, int> starts;
   std::set<std::uint64_t> stepped;
-  for (const obs::Tracer::Track& track : rt.obs().tracer.tracks()) {
-    for (const obs::TraceRecord& r : track.records) {
-      if (r.kind == obs::RecordKind::kFlowStart) ++starts[r.id];
-      if (r.kind == obs::RecordKind::kFlowStep) stepped.insert(r.id);
-    }
+  for (const testing::ChromeEvent& e :
+       testing::parse_chrome_events(timeline.str())) {
+    if (e.ph == "s") ++starts[std::stoull(e.id)];
+    if (e.ph == "t") stepped.insert(std::stoull(e.id));
   }
   ASSERT_FALSE(stepped.empty()) << "no flow arrows recorded";
   for (const std::uint64_t id : stepped) {

@@ -180,14 +180,17 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(fabric::RoutingMode::kRightOnly,
                                          fabric::RoutingMode::kShortest),
                        ::testing::Values(11u, 42u, 1337u)),
-    [](const auto& info) {
+    [](const auto& param_info) {
       // Note: no structured bindings here — the macro would split the
       // binding list at its commas.
-      return "n" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == fabric::RoutingMode::kRightOnly
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += std::get<1>(param_info.param) == fabric::RoutingMode::kRightOnly
                   ? "_right"
-                  : "_shortest") +
-             "_seed" + std::to_string(std::get<2>(info.param));
+                  : "_shortest";
+      name += "_seed";
+      name += std::to_string(std::get<2>(param_info.param));
+      return name;
     });
 
 }  // namespace

@@ -51,7 +51,8 @@ class TrafficSweep : public ::testing::TestWithParam<Param> {
 
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   const auto& [npes, path, routing, completion, tune] = info.param;
-  std::string s = "n" + std::to_string(npes);
+  std::string s = "n";
+  s += std::to_string(npes);
   s += path == DataPath::kDma ? "_dma" : "_memcpy";
   s += routing == fabric::RoutingMode::kRightOnly ? "_right" : "_shortest";
   s += completion == CompletionMode::kFullDelivery ? "_full" : "_localdma";

@@ -102,7 +102,9 @@ TEST(SignalTest, QuietDrainsSignals) {
       shmem_quiet();  // full-delivery mode: signal delivered after quiet
     }
     shmem_barrier_all();
-    if (shmem_my_pe() == 2) EXPECT_EQ(*sig, 5u);
+    if (shmem_my_pe() == 2) {
+      EXPECT_EQ(*sig, 5u);
+    }
     shmem_finalize();
   });
 }

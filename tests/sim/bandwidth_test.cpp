@@ -7,8 +7,12 @@
 
 #include <cmath>
 
+#include "sim_test_util.hpp"
+
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 constexpr double kBps = 1e9;  // 1 GB/s test capacity -> 1 byte/ns
 
@@ -145,7 +149,7 @@ TEST(BandwidthTest, ThreeFlowsConvergeToFairThird) {
   BandwidthResource link(engine, "link", kBps);
   std::vector<Time> done(3, -1);
   for (int i = 0; i < 3; ++i) {
-    engine.spawn("p" + std::to_string(i), [&, i] {
+    engine.spawn(numbered("p", i), [&, i] {
       link.transfer(1'000'000);
       done[static_cast<std::size_t>(i)] = engine.now();
     });

@@ -9,9 +9,12 @@
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim_test_util.hpp"
 
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 TEST(EngineTest, ClockStartsAtZero) {
   Engine engine;
@@ -65,7 +68,7 @@ TEST(EngineTest, EqualTimesResolveInSpawnOrderFifo) {
   Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    engine.spawn("p" + std::to_string(i), [&order, i] {
+    engine.spawn(numbered("p", i), [&order, i] {
       order.push_back(i);
     });
   }

@@ -6,15 +6,19 @@
 
 #include <vector>
 
+#include "sim_test_util.hpp"
+
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 TEST(EventTest, NotifyAllWakesEveryWaiter) {
   Engine engine;
   Event ev(engine, "ev");
   int woken = 0;
   for (int i = 0; i < 4; ++i) {
-    engine.spawn("w" + std::to_string(i), [&] {
+    engine.spawn(numbered("w", i), [&] {
       ev.wait();
       ++woken;
     });
@@ -33,7 +37,7 @@ TEST(EventTest, NotifyOneWakesInFifoOrder) {
   Event ev(engine, "ev");
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
-    engine.spawn("w" + std::to_string(i), [&, i] {
+    engine.spawn(numbered("w", i), [&, i] {
       ev.wait();
       order.push_back(i);
     });

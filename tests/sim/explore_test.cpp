@@ -14,9 +14,12 @@
 
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
+#include "sim_test_util.hpp"
 
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 std::uint64_t fnv_order(const std::vector<std::string>& order) {
   std::uint64_t h = 1469598103934665603ull;
@@ -154,7 +157,7 @@ TEST(ExploreParity, DefaultScriptMatchesUnhookedDigest) {
     Engine eng;
     eng.enable_schedule_digest(true);
     for (int p = 0; p < 3; ++p) {
-      eng.spawn("p" + std::to_string(p), [&eng] {
+      eng.spawn(numbered("p", p), [&eng] {
         for (int step = 0; step < 4; ++step) {
           eng.wait_for(usec(1));  // all three collide at every microsecond
         }

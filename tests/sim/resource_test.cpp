@@ -6,8 +6,12 @@
 
 #include <vector>
 
+#include "sim_test_util.hpp"
+
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 TEST(ResourceTest, MutexSerializesCriticalSections) {
   Engine engine;
@@ -15,7 +19,7 @@ TEST(ResourceTest, MutexSerializesCriticalSections) {
   int inside = 0;
   int max_inside = 0;
   for (int i = 0; i < 5; ++i) {
-    engine.spawn("p" + std::to_string(i), [&] {
+    engine.spawn(numbered("p", i), [&] {
       Resource::Guard guard(mutex);
       ++inside;
       max_inside = std::max(max_inside, inside);
@@ -37,7 +41,7 @@ TEST(ResourceTest, FifoOrderAmongWaiters) {
     engine.wait_for(usec(100));
   });
   for (int i = 0; i < 4; ++i) {
-    engine.spawn("w" + std::to_string(i), [&, i] {
+    engine.spawn(numbered("w", i), [&, i] {
       engine.wait_for(usec(static_cast<std::int64_t>(i) + 1));  // arrival order
       Resource::Guard guard(mutex);
       order.push_back(i);
@@ -54,7 +58,7 @@ TEST(ResourceTest, CountedResourceAllowsConcurrency) {
   int inside = 0;
   int max_inside = 0;
   for (int i = 0; i < 9; ++i) {
-    engine.spawn("p" + std::to_string(i), [&] {
+    engine.spawn(numbered("p", i), [&] {
       Resource::Guard guard(slots);
       ++inside;
       max_inside = std::max(max_inside, inside);

@@ -12,9 +12,12 @@
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
+#include "sim_test_util.hpp"
 
 namespace ntbshmem::sim {
 namespace {
+
+using testing::numbered;
 
 TEST(StressTest, ManyProcessesOnSharedMutex) {
   Engine engine;
@@ -23,7 +26,7 @@ TEST(StressTest, ManyProcessesOnSharedMutex) {
   constexpr int kProcs = 64;
   constexpr int kIters = 20;
   for (int p = 0; p < kProcs; ++p) {
-    engine.spawn("p" + std::to_string(p), [&] {
+    engine.spawn(numbered("p", p), [&] {
       for (int i = 0; i < kIters; ++i) {
         Resource::Guard guard(mutex);
         const int snapshot = counter;
@@ -43,7 +46,7 @@ TEST(StressTest, ManyFlowsShareBandwidthExactly) {
   constexpr int kFlows = 40;
   std::vector<Time> done(kFlows, 0);
   for (int f = 0; f < kFlows; ++f) {
-    engine.spawn("f" + std::to_string(f), [&, f] {
+    engine.spawn(numbered("f", f), [&, f] {
       link.transfer(1'000'000);
       done[static_cast<std::size_t>(f)] = engine.now();
     });
@@ -58,7 +61,7 @@ TEST(StressTest, ManyFlowsShareBandwidthExactly) {
 TEST(StressTest, RepeatedRunsAccumulateTime) {
   Engine engine;
   for (int round = 1; round <= 50; ++round) {
-    engine.spawn("r" + std::to_string(round), [&] { engine.wait_for(usec(10)); });
+    engine.spawn(numbered("r", round), [&] { engine.wait_for(usec(10)); });
     engine.run();
     EXPECT_EQ(engine.now(), usec(10) * round);
   }
@@ -70,7 +73,7 @@ TEST(StressTest, EventThunderingHerdIsFifo) {
   std::vector<int> order;
   constexpr int kWaiters = 100;
   for (int i = 0; i < kWaiters; ++i) {
-    engine.spawn("w" + std::to_string(i), [&, i] {
+    engine.spawn(numbered("w", i), [&, i] {
       gate.wait();
       order.push_back(i);
     });
@@ -93,7 +96,7 @@ TEST(StressTest, LargeScheduleIsDeterministic) {
     Resource slots(engine, "slots", 3);
     std::int64_t checksum = 0;
     for (int p = 0; p < 48; ++p) {
-      engine.spawn("p" + std::to_string(p), [&, p] {
+      engine.spawn(numbered("p", p), [&, p] {
         for (int i = 0; i < 6; ++i) {
           engine.wait_for(usec((p * 13 + i * 7) % 23 + 1));
           Resource::Guard guard(slots);
@@ -121,12 +124,12 @@ TEST(StressTest, HostStorm256SpawnWaitNotify) {
   std::vector<std::unique_ptr<Event>> ev;
   std::vector<std::uint64_t> inbox(kHosts, 0);
   for (int i = 0; i < kHosts; ++i) {
-    ev.push_back(std::make_unique<Event>(engine, "e" + std::to_string(i)));
+    ev.push_back(std::make_unique<Event>(engine, numbered("e", i)));
   }
   std::uint64_t timer_fires = 0;
   int finished = 0;
   for (int i = 0; i < kHosts; ++i) {
-    engine.spawn("h" + std::to_string(i), [&, i] {
+    engine.spawn(numbered("h", i), [&, i] {
       const auto ui = static_cast<std::size_t>(i);
       for (int r = 0; r < kRounds; ++r) {
         engine.call_after(nsec(5), [&timer_fires] { ++timer_fires; });
@@ -219,7 +222,7 @@ TEST(StressTest, FiberStackSizeEnvFixesDeepRecursion) {
 TEST(StressTest, RerunWithPersistentDaemonsKeepsDigest) {
   auto workload = [](Engine& engine, int round) {
     for (int p = 0; p < 8; ++p) {
-      engine.spawn("w" + std::to_string(round) + "_" + std::to_string(p),
+      engine.spawn(numbered(numbered("w", round) + "_", p),
                    [&engine, p] {
                      for (int i = 0; i < 4; ++i) {
                        engine.wait_for(usec((p * 7 + i * 3) % 11 + 1));

@@ -417,10 +417,11 @@ void check_unordered_iteration(const Source& src,
   for (const auto& re : {range_re, begin_re, std_begin_re}) {
     auto begin = std::sregex_iterator(src.code.begin(), src.code.end(), re);
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
+      const std::string name = (*it)[1].str();
       out.push_back(
           {"no-unordered-iteration", src.path,
            src.line_of(static_cast<std::size_t>(it->position(1))),
-           "'" + (*it)[1].str() +
+           "'" + name +
                "' is a std::unordered_ container; iterating it visits hash "
                "order, which is not deterministic — iterate a "
                "sorted_items()/sorted_keys() snapshot (common/sorted.hpp) "
