@@ -133,7 +133,7 @@ ScaleResult measure(const std::vector<std::vector<int>>& out, int rounds) {
       const auto ui = static_cast<std::size_t>(i);
       for (int r = 0; r < rounds; ++r) {
         // Timer churn through the pooled callback path, staggered so the
-        // calendar wheel sees a spread of deadlines, not one bucket.
+        // run queue holds a spread of deadlines, not one instant.
         engine.call_after(50 + (i % 7) * 10, [&cb_fires] { ++cb_fires; });
         engine.wait_for(10 + (i % 5));
         for (int nb : out[ui]) {

@@ -24,7 +24,6 @@
 #include <span>
 #include <utility>
 
-#include "backend/kind.hpp"
 #include "shmem/message.hpp"
 #include "sim/time.hpp"
 
@@ -103,8 +102,6 @@ class Channel {
 class Backend {
  public:
   virtual ~Backend() = default;
-
-  virtual Kind kind() const = 0;
 
   // Arena PE `pe`'s symmetric-heap chunks are carved from. DES: the
   // simulated host's DRAM arena; shm: a MemoryArena viewing the PE's heap

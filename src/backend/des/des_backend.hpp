@@ -22,7 +22,6 @@ class DesBackend : public Backend {
   // does not own them; Runtime's construction order is unchanged).
   explicit DesBackend(shmem::Runtime& rt) : rt_(&rt) {}
 
-  Kind kind() const override { return Kind::kSim; }
   host::MemoryArena& heap_arena(int pe) override;
   std::pair<std::uint64_t, std::uint64_t> heap_geometry() const override;
   std::unique_ptr<Channel> make_channel(int pe) override;

@@ -9,7 +9,7 @@
 // This is the "what would the protocol cost on real silicon-less hardware"
 // counterpart to backend/des: the same shmem API surface (api.hpp, teams,
 // contexts, collectives run unchanged), but clocked by CLOCK_MONOTONIC
-// instead of the calendar queue — bench_workload --backend=shm emits the
+// instead of the DES run queue — bench_workload --backend=shm emits the
 // first wall-clock ntbshmem-slo-v1 numbers of the tree.
 #pragma once
 
@@ -30,7 +30,6 @@ class ShmBackend : public Backend {
   explicit ShmBackend(shmem::Runtime& rt);
   ~ShmBackend() override;
 
-  Kind kind() const override { return Kind::kShm; }
   host::MemoryArena& heap_arena(int pe) override;
   // (slice, slice): chunk 0 spans the whole per-PE space, so the heap never
   // grows after the pre-fork collective-scratch allocation and every

@@ -11,16 +11,6 @@ TimingParams fast_interrupts() {
   return p;
 }
 
-TimingParams tuned_dma_driver() {
-  TimingParams p;
-  // A driver that keeps a descriptor ring warm: cheaper per-segment setup
-  // and a near-free prefetch hand-off. Used by sensitivity studies around
-  // the pipelined data path; the pipeline benches use the paper testbed.
-  p.segment_setup = 50'000;
-  p.segment_prefetch_overhead = 500;
-  return p;
-}
-
 TimingParams gen4_fabric() {
   TimingParams p;
   p.pcie_gen = 4;

@@ -117,7 +117,6 @@ struct TimingParams {
 // Presets for sensitivity studies:
 TimingParams paper_testbed();       // == TimingParams{}
 TimingParams fast_interrupts();     // service_wake 20us: "tuned driver" study
-TimingParams tuned_dma_driver();    // warm descriptor ring: cheap setup
 TimingParams gen4_fabric();         // PCIe Gen4 x8 what-if
 
 }  // namespace ntbshmem

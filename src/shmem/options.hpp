@@ -38,7 +38,9 @@ enum class CompletionMode : int {
 // a 32-bit header checksum (ScratchPad reg 7); the receiver is go-back-N —
 // it accepts only the next expected sequence, re-acks duplicates, NAKs
 // checksum rejects and drops out-of-order arrivals — and the sender
-// retransmits on NAK or ack timeout with exponential backoff.
+// retransmits on NAK or ack timeout, doubling the timeout per retry. The
+// retry ladder itself (growth factor, retransmit and descriptor-retry
+// budgets) is fixed in the transport (shmem/transport.hpp).
 struct ReliabilityParams {
   bool enabled = false;
   // Virtual time from doorbell ring to first retransmit. Must comfortably
@@ -46,9 +48,6 @@ struct ReliabilityParams {
   // + register reads + ack write) or the link sees spurious — harmless but
   // noisy — retransmits.
   DurationNs ack_timeout = 5'000'000;  // 5 ms
-  double backoff = 2.0;                // timeout multiplier per retry
-  int max_retries = 10;                // then the channel throws (unrecoverable)
-  int dma_retries = 4;                 // descriptor-error retries per segment
 };
 
 // Transport pipelining knobs (the §III data-path optimisations that go
@@ -175,13 +174,10 @@ struct RuntimeOptions {
 
   // Schedule auditing (sim/audit.hpp). `schedule_digest` folds every engine
   // dispatch into an FNV accumulator readable via
-  // engine().schedule_digest(); `schedule_tiebreak_seed != 0` permutes
-  // same-timestamp dispatch order with a seeded bijection — a debug mode
-  // that must leave SHMEM-visible results (heap contents, barrier counts)
-  // unchanged while it scrambles the schedule (DESIGN.md §4d). Both are
-  // applied before any service process spawns, so they cover the whole run.
+  // engine().schedule_digest(); it is switched on before any service
+  // process spawns, so it covers the whole run. Schedule fuzzing is a
+  // seeded sim::BranchHook installed on engine() (DESIGN.md §4d).
   bool schedule_digest = false;
-  std::uint64_t schedule_tiebreak_seed = 0;
 
   int num_hosts() const {
     return pes_per_host > 0 ? npes / pes_per_host : 0;

@@ -295,18 +295,12 @@ Runtime::Runtime(const RuntimeOptions& options)
   if (options_.npes > 255) {
     throw std::invalid_argument("PE ids must fit in the 8-bit wire format");
   }
-  const ReliabilityParams& rel = options_.tuning.reliability;
-  if (rel.ack_timeout <= 0 || rel.backoff < 1.0 || rel.max_retries < 1 ||
-      rel.dma_retries < 0) {
-    throw std::invalid_argument(
-        "ReliabilityParams: ack_timeout > 0, backoff >= 1.0, "
-        "max_retries >= 1 and dma_retries >= 0 required");
+  if (options_.tuning.reliability.ack_timeout <= 0) {
+    throw std::invalid_argument("ReliabilityParams: ack_timeout > 0 required");
   }
   // Schedule auditing must switch on before anything is queued on the
-  // engine so the digest covers every dispatch and the tie-break
-  // permutation covers the very first service spawns.
+  // engine so the digest covers every dispatch.
   if (options_.schedule_digest) engine_.enable_schedule_digest();
-  engine_.set_tiebreak_permutation(options_.schedule_tiebreak_seed);
   // Observability: the hub is always attached (counter increments are one
   // pointer-deref adds and never touch the engine, so golden times are
   // unaffected); span recording is gated separately by ObsOptions. The
@@ -439,8 +433,7 @@ std::uint64_t Runtime::retransmit_bound() const {
   // Worst case per injected fault: the frame re-emits through the whole
   // retry ladder. Worst case per flap: a full credit window of in-flight
   // frames per direction re-runs its ladder while the link retrains.
-  const auto ladder =
-      static_cast<std::uint64_t>(options_.tuning.reliability.max_retries) + 1;
+  const auto ladder = static_cast<std::uint64_t>(Transport::kMaxRetries) + 1;
   const auto credits = static_cast<std::uint64_t>(options_.tuning.tx_credits);
   return injected * ladder + flaps * 2 * credits * ladder;
 }
@@ -473,8 +466,7 @@ void Runtime::write_causal_trace(std::ostream& out) {
   out << "  \"tx_credits\": " << options_.tuning.tx_credits << ",\n";
   out << "  \"reliability\": "
       << (options_.tuning.reliability.enabled ? "true" : "false") << ",\n";
-  out << "  \"max_retries\": " << options_.tuning.reliability.max_retries
-      << ",\n";
+  out << "  \"max_retries\": " << Transport::kMaxRetries << ",\n";
   out << "  \"faults_injected\": " << fault_plan_->stats().total() << ",\n";
   out << "  \"link_flaps\": " << fault_plan_->spec().link_flaps.size()
       << ",\n";

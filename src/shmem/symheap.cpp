@@ -78,7 +78,6 @@ std::optional<std::uint64_t> SymmetricHeap::allocate(std::uint64_t size,
     if (auto start = find_fit(size, align)) {
       take(*start, size);
       allocations_[*start] = size;
-      in_use_ += size;
       return start;
     }
     if (!grow()) return std::nullopt;
@@ -91,7 +90,6 @@ void SymmetricHeap::free(std::uint64_t offset) {
     throw std::invalid_argument("SymmetricHeap::free: unknown offset " +
                                 std::to_string(offset));
   }
-  in_use_ -= it->second;
   insert_free(it->first, it->second);
   allocations_.erase(it);
 }

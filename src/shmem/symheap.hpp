@@ -72,7 +72,6 @@ class SymmetricHeap {
   std::uint64_t virtual_size() const {
     return chunk_bytes_ * chunks_.size();
   }
-  std::uint64_t bytes_in_use() const { return in_use_; }
   // Live allocations as sorted (virtual offset, length) pairs — lets the
   // model checker hash exactly the bytes applications can observe, skipping
   // freed regions and unallocated chunk tails.
@@ -95,7 +94,6 @@ class SymmetricHeap {
   // offset -> length; both maps keyed by virtual offset.
   std::map<std::uint64_t, std::uint64_t> free_list_;
   std::map<std::uint64_t, std::uint64_t> allocations_;
-  std::uint64_t in_use_ = 0;
 };
 
 }  // namespace ntbshmem::shmem

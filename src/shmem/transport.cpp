@@ -13,6 +13,11 @@ namespace ntbshmem::shmem {
 
 namespace {
 
+// Reliability layer: ack-timeout multiplier per retransmit, and how often a
+// DMA descriptor error is retried per segment before the transfer fails.
+constexpr double kBackoff = 2.0;
+constexpr int kDmaRetries = 4;
+
 // Reassembly key: link-level sender and its message id are unique per hop
 // because each forwarding host assigns fresh ids.
 std::uint64_t reassembly_key(std::uint8_t origin, std::uint32_t id) {
@@ -545,9 +550,8 @@ Transport::TxChannel::InFlight* Transport::find_inflight(TxChannel& ch,
 }
 
 void Transport::arm_retx_timer(int p, TxChannel::InFlight& rec) {
-  const ReliabilityParams& rp = tuning().reliability;
-  double timeout = static_cast<double>(rp.ack_timeout);
-  for (int i = 0; i < rec.retries; ++i) timeout *= rp.backoff;
+  double timeout = static_cast<double>(tuning().reliability.ack_timeout);
+  for (int i = 0; i < rec.retries; ++i) timeout *= kBackoff;
   const std::uint8_t seq = rec.seq;
   rec.retx_timer = runtime_.engine().call_after(
       static_cast<sim::Dur>(timeout), [this, p, seq] { on_ack_timeout(p, seq); });
@@ -597,11 +601,10 @@ void Transport::retransmit(int p, std::uint8_t seq) {
   TxChannel& ch = channel(p);
   TxChannel::InFlight* rec = find_inflight(ch, seq);
   if (rec == nullptr) return;  // acked while the request sat in the queue
-  const ReliabilityParams& rp = tuning().reliability;
-  if (rec->retries >= rp.max_retries) {
+  if (rec->retries >= kMaxRetries) {
     throw std::runtime_error(
         "host" + std::to_string(host_id_) + ": frame seq " +
-        std::to_string(seq) + " exceeded " + std::to_string(rp.max_retries) +
+        std::to_string(seq) + " exceeded " + std::to_string(kMaxRetries) +
         " retransmit attempts (link unrecoverable)");
   }
   rec->retx_timer.cancel();
@@ -676,8 +679,7 @@ void Transport::window_write(int p, int window, host::Region region,
       bool ok = out.dma_write(window, off + done, piece,
                               /*descriptor_prefetched=*/overlap && !first);
       if (!ok) {
-        const ReliabilityParams& rp = tuning().reliability;
-        if (!rp.enabled) {
+        if (!reliability_on()) {
           // Fail-fast contract (ntb_port.hpp): without the retry layer a
           // descriptor error is a hard, diagnosable failure, not a hang.
           throw std::runtime_error(
@@ -686,10 +688,10 @@ void Transport::window_write(int p, int window, host::Region region,
         }
         int attempts = 0;
         while (!ok) {
-          if (attempts++ >= rp.dma_retries) {
+          if (attempts++ >= kDmaRetries) {
             throw std::runtime_error(
                 out.name() + ": DMA descriptor error persisted after " +
-                std::to_string(rp.dma_retries) + " retries");
+                std::to_string(kDmaRetries) + " retries");
           }
           ++stats_.dma_retries;
           flight_.log(engine.now(), obs::FlightCode::kDmaError,

@@ -138,6 +138,12 @@ class Transport {
   static constexpr int kDefaultDomain = 0;
   static constexpr int kAllDomains = -1;
 
+  // Reliability layer (ReliabilityParams): a frame is retransmitted at most
+  // kMaxRetries times, its ack timeout doubling each time, before the link
+  // counts as unrecoverable. Runtime::retransmit_bound() and the trace
+  // artifact read it too.
+  static constexpr int kMaxRetries = 10;
+
   // ---- One-sided data movement (application/PE context) --------------------
   // `origin_pe` identifies the calling PE (a resident of this host).
   // Copies `src` into `target_pe`'s symmetric heap at `heap_offset`.
@@ -431,7 +437,7 @@ class Transport {
   // Retires in-flight records up to (and including) `seq` — cumulative ack.
   void retire_acked(int p, std::uint8_t seq);
   // Re-emits the header of in-flight frame `seq` (payload still staged);
-  // throws after ReliabilityParams::max_retries.
+  // throws after kMaxRetries.
   void retransmit(int p, std::uint8_t seq);
   void rel_service_body();
   // Receiver side: signal a checksum/order reject to the sender.

@@ -8,14 +8,14 @@
 // digests; a drift pinpoints the first divergence far more cheaply than
 // diffing full traces.
 //
-// The companion debug mode, Engine::set_tiebreak_permutation(seed), perturbs
-// the ordering of same-timestamp queue entries with a seeded bijection of
-// the sequence number. Code that is order-sensitive only where the spec
-// allows it (FIFO event wake-up, spawn-start order) will produce a
-// *different but still deterministic* schedule — SHMEM-visible results
-// (heap contents, barrier counts) must not change. A result change under
-// permutation is accidental order sensitivity: exactly the bug class the
-// auditor exists to catch.
+// The companion schedule fuzzer is a seeded BranchHook (sim/branch.hpp)
+// installed with Engine::set_branch_hook: it picks which same-timestamp
+// runnable item dispatches next from a seeded stream. Code that is
+// order-sensitive only where the spec allows it (FIFO event wake-up,
+// spawn-start order) will produce a *different but still deterministic*
+// schedule — SHMEM-visible results (heap contents, barrier counts) must
+// not change. A result change under fuzzing is accidental order
+// sensitivity: exactly the bug class the auditor exists to catch.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,9 @@ enum class DispatchKind : std::uint8_t {
   kCallback = 2,
 };
 
-// Stateless splitmix64 finalizer: a bijection on uint64, used both to derive
-// tie-break permutation keys (unique seq -> unique key) and as a general
-// seeded mixer. Distinct from the stream-advancing splitmix64 in fault.cpp.
+// Stateless splitmix64 finalizer: a bijection on uint64 and a general seeded
+// mixer (the router's seeded route tie-break keys ports with it). Distinct
+// from the stream-advancing splitmix64 in fault.cpp.
 std::uint64_t splitmix64_mix(std::uint64_t x);
 
 // FNV-1a (64-bit) accumulator over the dispatched event stream.

@@ -6,12 +6,12 @@
 // consult fixed policy (FIFO tie-break, seeded probability roll). A
 // BranchHook replaces that policy with an external chooser, turning each
 // such point into an explicit branch the model checker (tools/mck) can
-// enumerate.
+// enumerate and a seeded schedule fuzzer can sample.
 //
 // Contract:
 //   * choose_dispatch(n) is called only when n > 1 same-timestamp runnable
 //     items exist; it returns the index (0..n-1, frontier order = the
-//     default (tie, seq) order, so index 0 reproduces the unhooked
+//     default seq order, so index 0 reproduces the unhooked
 //     schedule) of the item to dispatch now. The remaining items are
 //     re-queued with their original keys and re-offered at the next
 //     dispatch.

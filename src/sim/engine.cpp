@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
@@ -99,9 +100,20 @@ Process& Engine::spawn(std::string name, std::function<void()> body,
   live_count_++;
   // First resume happens through the normal queue so spawn order == start
   // order at equal times.
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(QueueItem{now_, seq, tie_of(seq), p, p->epoch_, 0});
+  push(QueueItem{now_, next_seq_++, p, p->epoch_, 0});
   return *p;
+}
+
+void Engine::push(const QueueItem& item) {
+  queue_.push_back(item);
+  std::push_heap(queue_.begin(), queue_.end(), QueueCmp{});
+}
+
+Engine::QueueItem Engine::pop_min() {
+  std::pop_heap(queue_.begin(), queue_.end(), QueueCmp{});
+  const QueueItem item = queue_.back();
+  queue_.pop_back();
+  return item;
 }
 
 std::uint32_t Engine::acquire_slot() {
@@ -138,8 +150,7 @@ CallbackHandle Engine::call_at(Time t, std::function<void()> fn) {
   s.fn = std::move(fn);
   s.cancelled = false;
   alloc_stats_.callbacks_scheduled++;
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(QueueItem{t, seq, tie_of(seq), nullptr, s.gen, slot});
+  push(QueueItem{t, next_seq_++, nullptr, s.gen, slot});
   return CallbackHandle(this, slot, s.gen);
 }
 
@@ -149,13 +160,10 @@ CallbackHandle Engine::call_after(Dur d, std::function<void()> fn) {
 
 void Engine::schedule_process(Time t, Process* p) {
   if (t < now_) t = now_;
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(QueueItem{t, seq, tie_of(seq), p, p->epoch_, 0});
+  push(QueueItem{t, next_seq_++, p, p->epoch_, 0});
 }
 
 void Engine::resume(Process* p) {
-  Process* prev = current_;
-  current_ = p;
   t_current_process = p;
   if (!p->started_) {
     p->started_ = true;
@@ -167,7 +175,6 @@ void Engine::resume(Process* p) {
   // Release the stack (and TSan handle) as soon as a process ends, not at
   // engine teardown — scale runs retire thousands of processes.
   if (p->finished_ && p->fiber_) p->fiber_->release_dead();
-  current_ = prev;
 }
 
 bool Engine::item_stale(const QueueItem& item) {
@@ -185,7 +192,7 @@ bool Engine::item_stale(const QueueItem& item) {
 
 bool Engine::pop_runnable(QueueItem* out) {
   while (!queue_.empty()) {
-    QueueItem item = queue_.pop_min();
+    QueueItem item = pop_min();
     assert(item.t >= now_);
     if (item_stale(item)) continue;
     *out = item;
@@ -199,17 +206,15 @@ bool Engine::next_dispatch(QueueItem* out) {
   QueueItem first;
   if (!pop_runnable(&first)) return false;
   // Collect every runnable item queued for the same instant. Items are
-  // popped in (t, tie, seq) order, so frontier index 0 is exactly what the
+  // popped in (t, seq) order, so frontier index 0 is exactly what the
   // unhooked dispatcher would run next.
   std::vector<QueueItem> frontier;
   frontier.push_back(first);
   while (!queue_.empty()) {
-    QueueItem item = queue_.pop_min();
+    QueueItem item = pop_min();
     if (item_stale(item)) continue;
     if (item.t != first.t) {
-      // Overshot into the next instant; re-queueing at the just-popped
-      // time is legal per the calendar queue's preconditions.
-      queue_.push(item);
+      push(item);  // overshot into the next instant
       break;
     }
     frontier.push_back(item);
@@ -223,18 +228,18 @@ bool Engine::next_dispatch(QueueItem* out) {
                              std::to_string(frontier.size()));
     }
   }
-  // Non-chosen items go back with their ORIGINAL (t, tie, seq) keys: the
+  // Non-chosen items go back with their ORIGINAL (t, seq) keys: the
   // residual frontier keeps its relative order and is re-offered on the
   // next dispatch.
   for (std::size_t i = 0; i < frontier.size(); ++i) {
-    if (i != pick) queue_.push(frontier[i]);
+    if (i != pick) push(frontier[i]);
   }
   *out = frontier[pick];
   return true;
 }
 
 void Engine::run() {
-  if (current_ != nullptr) {
+  if (current() != nullptr) {
     throw std::logic_error("Engine::run() called from inside a process");
   }
   while (live_nondaemon_ > 0) {
@@ -288,7 +293,7 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 std::uint64_t Engine::state_hash() const {
   // Per-item hashes are folded with XOR *and* ADD: both are commutative
-  // (the calendar queue's physical layout must not matter), and the pair is
+  // (the heap's physical layout must not matter), and the pair is
   // far harder to cancel than XOR alone (two identical items XOR to zero
   // but still sum). Times are hashed relative to now_ so the same pending
   // work at a different absolute time still collides — the checker prunes
@@ -296,13 +301,13 @@ std::uint64_t Engine::state_hash() const {
   std::uint64_t xored = 0;
   std::uint64_t summed = 0;
   std::uint64_t items = 0;
-  queue_.for_each([&](const QueueItem& item) {
+  for (const QueueItem& item : queue_) {
     if (item.process == nullptr) {
       const CallbackSlot& s = cb_slots_[item.cb_slot];
-      if (s.gen != item.epoch_or_gen || s.cancelled) return;  // stale
+      if (s.gen != item.epoch_or_gen || s.cancelled) continue;  // stale
     } else if (item.process->finished() ||
                item.epoch_or_gen != item.process->epoch_) {
-      return;  // stale
+      continue;  // stale
     }
     std::uint64_t h = kFnvOffset;
     h = fnv_mix_u64(h, static_cast<std::uint64_t>(item.t - now_));
@@ -311,7 +316,7 @@ std::uint64_t Engine::state_hash() const {
     xored ^= h;
     summed += h;
     ++items;
-  });
+  }
   std::uint64_t acc = kFnvOffset;
   acc = fnv_mix_u64(acc, xored);
   acc = fnv_mix_u64(acc, summed);
@@ -357,8 +362,8 @@ void Engine::yield() {
 }
 
 Process* Engine::require_current(const char* op) const {
-  Process* p = t_current_process;
-  if (p == nullptr || &p->engine() != this) {
+  Process* p = current();
+  if (p == nullptr) {
     throw std::logic_error(std::string("Engine::") + op +
                            " called outside a process of this engine");
   }
@@ -366,7 +371,6 @@ Process* Engine::require_current(const char* op) const {
 }
 
 void Engine::shutdown() {
-  shutting_down_ = true;
   // Kill every unfinished process: mark, resume, let ProcessKilled unwind
   // its stack so RAII cleanup runs; the process finishes for good.
   for (auto& p : processes_) {

@@ -16,8 +16,7 @@
 // (sim/fiber.hpp), all on the engine's one OS thread. A process switch is
 // one user-space context swap, so the engine scales to thousands of
 // processes (1024-host fabric sweeps; bench_sim_engine). The run queue is
-// a calendar queue (sim/calendar_queue.hpp) whose dispatch order is
-// provably the same (time, tie, seq) total order a binary heap yields.
+// one binary min-heap on (time, seq); seq is unique, so the order is total.
 //
 // The engine also supports inline callbacks (`call_at`/`call_after`) that
 // run in scheduler context without a context switch — used for interrupt
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "sim/audit.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
 
@@ -66,8 +64,6 @@ class SimDeadlock : public std::runtime_error {
  public:
   explicit SimDeadlock(const std::string& what) : std::runtime_error(what) {}
 };
-
-enum class WakeReason : std::uint8_t { kNone, kNotified, kTimeout };
 
 class Process {
  public:
@@ -119,11 +115,10 @@ class Process {
   bool started_ = false;
   bool killed_ = false;
   // Incremented every time the process is actually resumed; queue entries
-  // carry the epoch they were created under so a stale entry (e.g. the
-  // timeout of a wait that was satisfied by a notify) is skipped.
+  // carry the epoch they were created under so a stale entry (a second
+  // wake-up queued for a process that already resumed) is skipped.
   std::uint64_t epoch_ = 0;
-  WakeReason wake_reason_ = WakeReason::kNone;
-  Event* waiting_on_ = nullptr;  // diagnostics + timeout cleanup
+  Event* waiting_on_ = nullptr;  // deadlock diagnostics and state_hash
   // Created lazily on first resume (a process killed before it ever ran
   // needs no stack); stack released eagerly on finish.
   std::unique_ptr<Fiber> fiber_;
@@ -188,7 +183,10 @@ class Engine {
 
   // The process currently executing on this engine (nullptr in scheduler
   // context / outside the simulation).
-  Process* current() const { return current_; }
+  Process* current() const {
+    Process* p = current_process();
+    return p != nullptr && &p->engine() == this ? p : nullptr;
+  }
 
   // Number of processes that have been spawned but not finished. O(1):
   // maintained at spawn/finish, consulted by deadlock diagnostics and
@@ -241,30 +239,22 @@ class Engine {
   bool schedule_digest_enabled() const { return digest_enabled_; }
   const ScheduleDigest& schedule_digest() const { return digest_; }
 
-  // Debug mode: permute the FIFO tie-break of same-timestamp queue entries
-  // with a seeded bijection (seed 0 restores exact FIFO order). Applies to
-  // entries pushed from this call on, so set it before spawning the
-  // workload. Any seed yields a schedule that is still fully deterministic;
-  // only the ordering of same-time dispatches changes. Simulation results
-  // that are allowed to depend on FIFO order (event wake-up order, spawn
-  // start order) may move — SHMEM-visible state must not (DESIGN.md §4d).
-  void set_tiebreak_permutation(std::uint64_t seed) { tiebreak_seed_ = seed; }
-  std::uint64_t tiebreak_permutation() const { return tiebreak_seed_; }
-
-  // ---- Exploration (sim/branch.hpp, tools/mck) -----------------------------
+  // ---- Exploration and schedule fuzzing (sim/branch.hpp, tools/mck) --------
   // Installs a branch hook that picks among same-timestamp runnable queue
-  // items instead of the (tie, seq) FIFO order (nullptr detaches — the
-  // default, zero-cost path). With a hook installed the dispatcher collects
-  // the whole same-timestamp runnable frontier before each dispatch and asks
+  // items instead of the seq FIFO order (nullptr detaches — the default,
+  // zero-cost path). With a hook installed the dispatcher collects the
+  // whole same-timestamp runnable frontier before each dispatch and asks
   // the hook to choose; a hook that always returns 0 reproduces the unhooked
-  // schedule exactly (same dispatch order, same digests). The hook is not
-  // owned and must outlive the run.
+  // schedule exactly (same dispatch order, same digests). A seeded random
+  // hook is the schedule fuzzer: SHMEM-visible state must not move under it
+  // (DESIGN.md §4d). The hook is not owned and must outlive the run.
   void set_branch_hook(BranchHook* hook) { hook_ = hook; }
 
   // Order-insensitive FNV hash of the engine's schedulable state: every
   // non-stale queue item folded as (t - now, kind, process name) with a
-  // commutative combine (so the calendar queue's physical layout cannot
-  // leak in), plus each live process's (name, started, waiting-on event).
+  // commutative combine (so the heap's physical layout, which depends on
+  // push history, cannot leak in), plus each live process's (name, started,
+  // waiting-on event).
   // Path-dependent counters (seq, epoch, dispatch_count) are deliberately
   // excluded so that two interleavings reaching the same logical state
   // collide — that collision is exactly what lets the model checker prune
@@ -296,11 +286,7 @@ class Engine {
 
   struct QueueItem {
     Time t;
-    std::uint64_t seq;
-    // Tie-break key for same-time entries: equals seq (FIFO) unless a
-    // tie-break permutation is active, in which case it is a seeded
-    // bijection of seq — unique, so the order stays total and repeatable.
-    std::uint64_t tie;
+    std::uint64_t seq;  // unique: same-time entries dispatch FIFO
     // nullptr means the entry is a pooled callback (cb_slot below).
     Process* process = nullptr;
     // Process epoch when process != nullptr; callback slot generation
@@ -308,16 +294,16 @@ class Engine {
     std::uint64_t epoch_or_gen = 0;
     std::uint32_t cb_slot = 0;
   };
+  // "a dispatches after b": std::push_heap/pop_heap with this comparator
+  // keep the (t, seq) minimum at queue_.front().
   struct QueueCmp {
     bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.t != b.t) return a.t > b.t;  // min-queue on time
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;  // unreachable while tie is a bijection of seq
+      if (a.t != b.t) return a.t > b.t;
+      return a.seq > b.seq;
     }
   };
-  std::uint64_t tie_of(std::uint64_t seq) const {
-    return tiebreak_seed_ == 0 ? seq : splitmix64_mix(seq ^ tiebreak_seed_);
-  }
+  void push(const QueueItem& item);
+  QueueItem pop_min();
 
   // Pooled storage behind call_at; see CallbackHandle. `gen` bumps when the
   // slot is recycled, so stale handles and queue entries are no-ops.
@@ -352,7 +338,7 @@ class Engine {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatch_count_ = 0;
-  CalendarQueue<QueueItem, QueueCmp> queue_;
+  std::vector<QueueItem> queue_;  // binary min-heap under QueueCmp
   std::vector<std::unique_ptr<Process>> processes_;
   std::size_t live_nondaemon_ = 0;
   std::size_t live_count_ = 0;
@@ -360,15 +346,12 @@ class Engine {
   std::deque<CallbackSlot> cb_slots_;
   std::vector<std::uint32_t> cb_free_;
   AllocStats alloc_stats_;
-  Process* current_ = nullptr;
   BranchHook* hook_ = nullptr;
   FaultPlan* faults_ = nullptr;
   obs::Hub* obs_ = nullptr;
   std::exception_ptr first_error_;
-  bool shutting_down_ = false;
   bool digest_enabled_ = false;
   ScheduleDigest digest_;
-  std::uint64_t tiebreak_seed_ = 0;
 };
 
 }  // namespace ntbshmem::sim

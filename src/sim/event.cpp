@@ -1,51 +1,22 @@
 #include "sim/event.hpp"
 
-#include <algorithm>
-
 namespace ntbshmem::sim {
-
-void Event::enqueue_current(Process* p) {
-  p->wake_reason_ = WakeReason::kNone;
-  p->waiting_on_ = this;
-  waiters_.push_back(p);
-}
-
-void Event::remove(Process* p) {
-  auto it = std::find(waiters_.begin(), waiters_.end(), p);
-  if (it != waiters_.end()) waiters_.erase(it);
-}
 
 void Event::wait() {
   Process* p = engine_.require_current("Event::wait");
-  enqueue_current(p);
+  p->waiting_on_ = this;
+  waiters_.push_back(p);
   p->block();
-  // Woken only via notify (no timeout entry exists); waiters_ already
-  // dropped us.
-}
-
-bool Event::wait_for(Dur timeout) {
-  Process* p = engine_.require_current("Event::wait_for");
-  enqueue_current(p);
-  engine_.schedule_process(engine_.now() + timeout, p);
-  p->block();
-  if (p->wake_reason_ == WakeReason::kNotified) return true;
-  // Timeout fired first: we are still registered as a waiter.
-  remove(p);
-  p->waiting_on_ = nullptr;
-  return false;
 }
 
 void Event::notify_all() {
-  while (!waiters_.empty()) notify_one();
-}
-
-void Event::notify_one() {
-  if (waiters_.empty()) return;
-  Process* p = waiters_.front();
-  waiters_.pop_front();
-  p->waiting_on_ = nullptr;
-  p->wake_reason_ = WakeReason::kNotified;
-  engine_.schedule_process(engine_.now(), p);
+  // schedule_process only queues, so no waiter runs (or re-waits) while
+  // the list is walked.
+  for (Process* p : waiters_) {
+    p->waiting_on_ = nullptr;
+    engine_.schedule_process(engine_.now(), p);
+  }
+  waiters_.clear();
 }
 
 }  // namespace ntbshmem::sim

@@ -10,8 +10,8 @@
 // virtual time, preserving the (time, sequence) total order of the engine.
 #pragma once
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -27,26 +27,18 @@ class Event {
   // Blocks the current process until notified.
   void wait();
 
-  // Blocks until notified or until `timeout` elapses.
-  // Returns true if notified, false on timeout.
-  bool wait_for(Dur timeout);
-
-  // Wakes all / the longest-waiting process. Callable from process or
+  // Wakes every waiter, longest-waiting first. Callable from process or
   // scheduler (callback) context. No-op when nobody waits.
   void notify_all();
-  void notify_one();
 
   std::size_t waiter_count() const { return waiters_.size(); }
   const std::string& name() const { return name_; }
   Engine& engine() const { return engine_; }
 
  private:
-  void enqueue_current(Process* p);
-  void remove(Process* p);
-
   Engine& engine_;
   std::string name_;
-  std::deque<Process*> waiters_;
+  std::vector<Process*> waiters_;  // FIFO: in the order they blocked
 };
 
 }  // namespace ntbshmem::sim

@@ -10,8 +10,8 @@
 // Switch mechanics: on x86-64 the hot switch is a hand-rolled swap of the
 // System-V callee-saved registers plus the FP control words (~30 ns).
 // glibc's swapcontext would also save/restore the signal mask, a
-// rt_sigprocmask(2) round-trip per switch that dominates a calendar-queue
-// dispatch (~0.3 us each way — measured, it was the whole hot path). The
+// rt_sigprocmask(2) round-trip per switch that dominates an engine dispatch
+// (~0.3 us each way — measured, it was the whole hot path). The
 // simulation never touches per-fiber signal masks, so nothing is lost.
 // Other architectures fall back to ucontext swapcontext, correct but slow.
 //
@@ -75,8 +75,6 @@ class Fiber {
   // switched away for the last time. Idempotent; must not be called on the
   // running fiber. Also invoked by the destructor.
   void release_dead();
-
-  std::size_t stack_bytes() const { return usable_size_; }
 
   // Usable stack size for new fibers: NTBSHMEM_FIBER_STACK_KiB (clamped to
   // >= 16 KiB) or 256 KiB when unset/unparsable.

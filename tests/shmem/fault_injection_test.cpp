@@ -72,9 +72,10 @@ TEST(FaultNegativePath, DmaDescriptorErrorThrowsWithoutReliability) {
 TEST(FaultNegativePath, RetryBudgetExhaustionThrowsUnrecoverable) {
   // Every (re)transmitted doorbell is dropped: with a bounded retry budget
   // the channel must give up with an error instead of retrying forever.
+  // The full ladder (10 retransmits, timeout doubling from 200 us) spans
+  // about 409 ms of virtual time.
   RuntimeOptions opts = reliable_options(3);
   opts.tuning.reliability.ack_timeout = 200'000;  // keep virtual time small
-  opts.tuning.reliability.max_retries = 3;
   Runtime rt(opts);
   rt.faults().arm_one_shot(sim::FaultPlan::Site::kDoorbell, "host0.right:0",
                            100);
@@ -89,12 +90,6 @@ TEST(FaultNegativePath, RetryBudgetExhaustionThrowsUnrecoverable) {
 TEST(FaultNegativePath, InvalidReliabilityParamsAreRejected) {
   RuntimeOptions opts = reliable_options(3);
   opts.tuning.reliability.ack_timeout = 0;
-  EXPECT_THROW(Runtime rt(opts), std::invalid_argument);
-  opts = reliable_options(3);
-  opts.tuning.reliability.backoff = 0.5;
-  EXPECT_THROW(Runtime rt(opts), std::invalid_argument);
-  opts = reliable_options(3);
-  opts.tuning.reliability.max_retries = 0;
   EXPECT_THROW(Runtime rt(opts), std::invalid_argument);
 }
 

@@ -1,14 +1,16 @@
-// Schedule-digest auditor at the SHMEM level (ISSUE PR 4): the FNV digest
-// of the engine's dispatched (time, seq, kind) stream must be bit-identical
+// Schedule-digest auditor at the SHMEM level: the FNV digest of the
+// engine's dispatched (time, seq, kind) stream must be bit-identical
 // across repeated runs for every supported tuning — paper-faithful,
-// fully pipelined, and pipelined+reliable — and the seeded tie-break
-// permutation must perturb the schedule (digest changes) without touching
-// anything SHMEM-visible (delivered heap contents, barrier counts).
+// fully pipelined, and pipelined+reliable — and the seeded schedule fuzzer
+// (a tie-break permutation applied through the engine's branch hook) must
+// perturb the schedule (digest changes) without touching anything
+// SHMEM-visible (delivered heap contents, barrier counts).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "../sim/sim_test_util.hpp"
 #include "shmem/api.hpp"
 #include "shmem/runtime.hpp"
 #include "shmem_test_util.hpp"
@@ -16,13 +18,13 @@
 namespace ntbshmem::shmem {
 namespace {
 
+using sim::testing::SeededTiebreakHook;
 using testing::pattern;
 
 constexpr int kNpes = 4;
 constexpr std::size_t kBlock = 256 * 1024;
 
-RuntimeOptions digest_options(TransportTuning tuning,
-                              std::uint64_t tiebreak_seed) {
+RuntimeOptions digest_options(TransportTuning tuning) {
   RuntimeOptions opts;
   opts.npes = kNpes;
   opts.data_path = DataPath::kDma;
@@ -33,7 +35,6 @@ RuntimeOptions digest_options(TransportTuning tuning,
   opts.symheap_max_bytes = 16u << 20;
   opts.host_memory_bytes = 64u << 20;
   opts.schedule_digest = true;
-  opts.schedule_tiebreak_seed = tiebreak_seed;
   return opts;
 }
 
@@ -48,9 +49,14 @@ struct DigestRun {
 
 // Ring exchange: every PE puts its pattern one hop right, drains, then each
 // PE snapshots what landed in its heap plus its transport barrier count.
+// A non-zero `tiebreak_seed` installs the schedule fuzzer; it acts at
+// dispatch time, so it also reorders the service daemons the Runtime
+// constructor spawned.
 DigestRun run_ring_exchange(const TransportTuning& tuning,
                             std::uint64_t tiebreak_seed = 0) {
-  Runtime rt(digest_options(tuning, tiebreak_seed));
+  SeededTiebreakHook fuzz(tiebreak_seed);
+  Runtime rt(digest_options(tuning));
+  if (tiebreak_seed != 0) rt.engine().set_branch_hook(&fuzz);
   DigestRun r;
   r.received.resize(kNpes);
   std::vector<std::uint64_t> barriers(kNpes, 0);
@@ -129,9 +135,9 @@ TEST(ScheduleDigestShmem, TuningsProduceDistinctSchedules) {
 }
 
 TEST(ScheduleDigestShmem, TiebreakPermutationIsScheduleVisibleOnly) {
-  // A non-zero seed permutes same-timestamp dispatch order, so the digest
-  // must move; everything SHMEM-visible — the blocks each PE received and
-  // the number of completed barriers — must not.
+  // A non-zero fuzzer seed permutes same-timestamp dispatch order, so the
+  // digest must move; everything SHMEM-visible — the blocks each PE
+  // received and the number of completed barriers — must not.
   const DigestRun base = run_ring_exchange(TransportTuning::all_on(4), 0);
   for (std::uint64_t seed : {0x9e3779b97f4a7c15ull, 42ull}) {
     const DigestRun perturbed =

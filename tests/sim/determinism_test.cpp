@@ -12,9 +12,12 @@
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "sim/resource.hpp"
+#include "sim_test_util.hpp"
 
 namespace ntbshmem::sim {
 namespace {
+
+using testing::SeededTiebreakHook;
 
 struct WorkloadResult {
   std::vector<Time> completion;
@@ -22,14 +25,15 @@ struct WorkloadResult {
   std::uint64_t dispatches = 0;
 };
 
-// The shared workload body, parameterised by the tie-break permutation seed
-// (0 = exact FIFO order). Under a non-zero seed same-timestamp dispatches
-// reorder, so timing may legally shift; what must hold is per-seed
-// determinism and that no work is lost.
+// The shared workload body, parameterised by the schedule-fuzzer seed
+// (0 = no hook, exact FIFO order). Under a non-zero seed same-timestamp
+// dispatches reorder, so timing may legally shift; what must hold is
+// per-seed determinism and that no work is lost.
 WorkloadResult run_digest_workload(std::uint64_t tiebreak_seed) {
+  SeededTiebreakHook fuzz(tiebreak_seed);
   Engine engine;
   engine.enable_schedule_digest();
-  engine.set_tiebreak_permutation(tiebreak_seed);
+  if (tiebreak_seed != 0) engine.set_branch_hook(&fuzz);
   BandwidthResource link(engine, "link", 1e9);
   Resource mutex(engine, "mutex");
   Event gate(engine, "gate");

@@ -91,6 +91,27 @@ TEST(EngineTest, YieldReordersBehindSameTimeWork) {
   EXPECT_EQ(order, want);
 }
 
+TEST(EngineTest, StaleSecondWakeupIsSkipped) {
+  // The epoch guard: a process with two queued wake-ups resumes at the
+  // earlier one, which makes the later entry stale. It must not cut the
+  // process's next wait short.
+  Engine engine;
+  std::vector<Time> wakes;
+  engine.spawn("w", [&] {
+    Process* self = engine.current();
+    engine.schedule_process(usec(2), self);
+    engine.schedule_process(usec(10), self);
+    engine.block_current(self);
+    wakes.push_back(engine.now());
+    engine.wait_for(usec(100));  // crosses the stale entry at t=10us
+    wakes.push_back(engine.now());
+  });
+  engine.run();
+  ASSERT_EQ(wakes.size(), 2u);
+  EXPECT_EQ(wakes[0], 2'000);
+  EXPECT_EQ(wakes[1], 102'000);
+}
+
 TEST(EngineTest, CallAfterFiresAtRightTime) {
   Engine engine;
   Time fired_at = -1;
@@ -173,6 +194,25 @@ TEST(EngineTest, WaitOutsideProcessThrows) {
   Engine engine;
   EXPECT_THROW(engine.wait_for(usec(1)), std::logic_error);
   EXPECT_THROW(engine.yield(), std::logic_error);
+}
+
+TEST(EngineTest, RunFromInsideOwnProcessThrows) {
+  Engine engine;
+  Process* inside = nullptr;
+  bool threw = false;
+  Process& p = engine.spawn("p", [&] {
+    inside = engine.current();
+    try {
+      engine.run();
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  EXPECT_EQ(engine.current(), nullptr);
+  engine.run();
+  EXPECT_EQ(inside, &p);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(engine.current(), nullptr);
 }
 
 TEST(EngineTest, DestructorKillsBlockedProcessesCleanly) {

@@ -294,9 +294,9 @@ TEST(DetlintFiberSched, CatchesPoolGlobalsTlsAndWallclockSeeds) {
 }
 
 TEST(DetlintFiberSched, SilentOnInstancePoolsAndSpanFedWidths) {
-  // The shape src/sim/engine.cpp and calendar_queue.hpp actually use:
-  // pool + wheel state as engine members, bucket width from event-time
-  // spread, the current-process TLS carrying its justification.
+  // Scheduler shapes the rule must accept: pool state as instance members,
+  // a width policy fed by virtual-time spread, and the current-process TLS
+  // of src/sim/engine.cpp carrying its justification.
   const auto diags = lint({"fiber_sched_clean.cc"});
   EXPECT_TRUE(diags.empty()) << detlint::render_text(diags);
 }
