@@ -8,8 +8,6 @@
 //   * centralized (atomic counter on PE 0 + release fan-out — every token
 //     is a full transport round trip over the ring),
 //   * dissemination (log2(n) pairwise token rounds over the transport).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -67,28 +65,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_Barrier(benchmark::State& state) {
-  const int hosts = static_cast<int>(state.range(0));
-  const auto alg = static_cast<BarrierAlgorithm>(state.range(1));
-  for (auto _ : state) {
-    state.SetIterationTime(sim::to_seconds(measure(hosts, alg)));
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_Barrier)
-    ->ArgsProduct({{3, 8}, {0, 1, 2}})
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -5,8 +5,6 @@
 // the per-chunk handshake dominating Get latency at small chunks and
 // saturating once the chunk amortizes the interrupt path — the design
 // trade-off behind the paper's order-of-magnitude Put/Get asymmetry.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -74,30 +72,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_BypassChunk(benchmark::State& state) {
-  const auto chunk = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    const auto [g1, g2] = measure(chunk);
-    state.SetIterationTime(sim::to_seconds(g1));
-    state.counters["get2_us"] = sim::to_us(g2);
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_BypassChunk)
-    ->RangeMultiplier(4)
-    ->Range(2 << 10, 64 << 10)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -10,8 +10,6 @@
 // injected-fault counts. The ack timeout is tuned to 500us — the paper
 // testbed's worst-case ack round trip is ~320us — so one loss costs about
 // one timeout, not the 5 ms default meant for conservative deployments.
-#include <benchmark/benchmark.h>
-
 #include <cstring>
 #include <iostream>
 #include <vector>
@@ -110,31 +108,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_FaultGoodput(benchmark::State& state) {
-  const double loss = kLossRates[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    const Sample s = measure(loss);
-    state.SetIterationTime(s.put_quiet_us * 1e-6);
-    state.counters["goodput_MBps"] = s.goodput_MBps;
-    state.counters["retransmits"] = static_cast<double>(s.retransmits);
-    state.counters["faults"] = static_cast<double>(s.faults);
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_FaultGoodput)
-    ->DenseRange(0, 4)
-    ->UseManualTime()
-    ->Iterations(2)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -6,8 +6,6 @@
 // host. Intra-host communication cost and adapter contention both surface:
 // aggregate cross-host throughput saturates once the shared ScratchPad
 // channel serializes the co-residents' notify frames.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -79,30 +77,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_MultiPe(benchmark::State& state) {
-  const int per_host = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const double agg = measure(per_host);
-    state.SetIterationTime(1e-3);  // virtual; counter carries the result
-    state.counters["aggregate_MB/s"] = agg;
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_MultiPe)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -10,8 +10,6 @@
 // Besides the human-readable table this bench writes
 // bench_ablation_pipeline.json (cwd) with every sample, for plots and CI
 // regression tracking.
-#include <benchmark/benchmark.h>
-
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -132,34 +130,11 @@ void print_tables(const std::vector<JsonSample>& samples) {
   }
 }
 
-void BM_Pipeline3Hop1MiB(benchmark::State& state) {
-  const Mode m = modes()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    const Measurement meas = measure(m.tuning, 1_MiB, 3);
-    state.SetIterationTime(sim::to_seconds(meas.put_quiet));
-    state.counters["MBps"] = to_MBps(1_MiB, meas.put_quiet);
-    state.counters["credit_stall_ns"] =
-        static_cast<double>(meas.counters.credit_stall_ns);
-    state.counters["retransmits"] =
-        static_cast<double>(meas.counters.retransmits);
-  }
-  state.SetLabel(m.name);
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_Pipeline3Hop1MiB)
-    ->DenseRange(0, 4)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMillisecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   const auto samples = ntbshmem::bench::sweep();
   ntbshmem::bench::print_tables(samples);
   ntbshmem::bench::write_bench_json(

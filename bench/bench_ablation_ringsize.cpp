@@ -5,8 +5,6 @@
 // concurrently. This bench sweeps 2..8 hosts with every host streaming
 // blocks to its right neighbour simultaneously and reports the aggregate
 // and per-link rates.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -104,46 +102,11 @@ void print_table(const std::vector<JsonSample>& samples) {
   t.print(std::cout);
 }
 
-void BM_RingSize(benchmark::State& state) {
-  const int hosts = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine engine;
-    fabric::Fabric ring(engine, config(hosts));
-    std::vector<std::byte> payload(kBlock, std::byte{0x22});
-    for (int h = 0; h < hosts; ++h) {
-      auto dst =
-          ring.host(ring.right_neighbor(h)).memory().allocate(kBlock, 4096);
-      ring.right_port(h).program_window(ntb::kRawWindow, dst);
-      const std::string idx = std::to_string(h);
-      engine.spawn("x" + idx, [&, h] {
-        for (int r = 0; r < kReps; ++r) {
-          ring.right_port(h).dma_write(ntb::kRawWindow, 0, payload);
-        }
-      });
-    }
-    const sim::Time t0 = engine.now();
-    engine.run();
-    const sim::Dur elapsed = engine.now() - t0;
-    state.SetIterationTime(sim::to_seconds(elapsed));
-    state.counters["aggregate_MB/s"] =
-        to_MBps(kBlock * kReps * static_cast<std::uint64_t>(hosts), elapsed);
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_RingSize)
-    ->DenseRange(2, 8, 2)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   const auto samples = ntbshmem::bench::sweep();
   ntbshmem::bench::print_table(samples);
   ntbshmem::bench::write_bench_json(

@@ -12,8 +12,6 @@
 // torus barrier beating the 16-host ring barrier.
 //
 // Writes bench_ablation_topology.json (cwd) in the shared ablation schema.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -202,29 +200,11 @@ void print_tables(const std::vector<JsonSample>& samples) {
   pt.print(std::cout);
 }
 
-void BM_TopologyBarrier16(benchmark::State& state) {
-  const TopoMode m = modes()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    const Measurement meas = measure(m, 16, 64_KiB);
-    state.SetIterationTime(sim::to_seconds(meas.barrier));
-  }
-  state.SetLabel(m.name);
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_TopologyBarrier16)
-    ->DenseRange(0, 3)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   const auto samples = ntbshmem::bench::sweep();
   ntbshmem::bench::print_tables(samples);
   ntbshmem::bench::write_bench_json(

@@ -7,8 +7,6 @@
 //     and leaner ISR path — pure software change;
 //   * gen4_fabric(): PCIe Gen4 cables and a doubled DMA engine — hardware
 //     refresh, software unchanged.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -91,33 +89,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_Tuning(benchmark::State& state) {
-  const TimingParams timing =
-      state.range(0) == 0 ? paper_testbed()
-                          : (state.range(0) == 1 ? fast_interrupts()
-                                                 : gen4_fabric());
-  for (auto _ : state) {
-    const Sample s = measure(timing);
-    state.SetIterationTime(s.barrier_us * 1e-6);
-    state.counters["put512_us"] = s.put512_us;
-    state.counters["get256_us"] = s.get256_us_1hop;
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_Tuning)
-    ->DenseRange(0, 2)
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

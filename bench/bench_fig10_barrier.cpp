@@ -6,8 +6,6 @@
 // DMA completed (CompletionMode::kLocalDma): the measured latency is the
 // Fig. 6 doorbell circulation itself, which is why the curves sit in the
 // 1-2.5 ms band and stay flat as the put size grows.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -91,29 +89,11 @@ void print_table() {
   t.print(std::cout);
 }
 
-void BM_BarrierAfterPut(benchmark::State& state) {
-  const auto size = static_cast<std::uint64_t>(state.range(0));
-  const int hops = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    const sim::Dur d = measure(DataPath::kDma, hops, size);
-    state.SetIterationTime(sim::to_seconds(d));
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_BarrierAfterPut)
-    ->ArgsProduct({{1 << 10, 512 << 10}, {1, 2}})
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_table();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -6,8 +6,6 @@
 // The experiment uses the raw window path of the NTB ports (pre-mapped
 // window, descriptor per transfer, polled completion) exactly as the
 // paper's link-rate test does: no OpenSHMEM software stack on top.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -119,51 +117,11 @@ void print_tables() {
   total.print(std::cout);
 }
 
-void BM_LinkTransfer(benchmark::State& state) {
-  const auto size = static_cast<std::uint64_t>(state.range(0));
-  const bool simultaneous = state.range(1) != 0;
-  const std::vector<int> active =
-      simultaneous ? std::vector<int>{0, 1, 2} : std::vector<int>{0};
-  for (auto _ : state) {
-    sim::Engine engine;
-    fabric::Fabric ring(engine, fig8_config());
-    std::vector<std::byte> payload(size, std::byte{0x5a});
-    sim::Dur elapsed = 0;
-    for (int link : active) {
-      auto dst = ring.host(ring.right_neighbor(link))
-                     .memory()
-                     .allocate(size, 4096);
-      ring.right_port(link).program_window(ntb::kRawWindow, dst);
-      const std::string idx = std::to_string(link);
-      engine.spawn("x" + idx, [&, link] {
-        for (int r = 0; r < kReps; ++r) {
-          ring.right_port(link).dma_write(ntb::kRawWindow, 0, payload);
-        }
-      });
-    }
-    const sim::Time t0 = engine.now();
-    engine.run();
-    elapsed = engine.now() - t0;
-    state.SetIterationTime(sim::to_seconds(elapsed));
-    state.counters["MB/s_link0"] = to_MBps(size * kReps, elapsed);
-  }
-  state.SetLabel(simultaneous ? "ring" : "independent");
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_LinkTransfer)
-    ->ArgsProduct({{1 << 10, 16 << 10, 128 << 10, 512 << 10}, {0, 1}})
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_tables();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

@@ -6,8 +6,6 @@
 // is the one-sided local-completion time, which is why it is insensitive
 // to hop count, while Get must wait for the data to traverse the ring and
 // come back through the chunked bypass path.
-#include <benchmark/benchmark.h>
-
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -144,31 +142,11 @@ void print_tables() {
   get_bw.print(std::cout);
 }
 
-void BM_PutLatency(benchmark::State& state) {
-  const auto size = static_cast<std::uint64_t>(state.range(0));
-  const int hops = static_cast<int>(state.range(1));
-  const DataPath path = state.range(2) != 0 ? DataPath::kMemcpy : DataPath::kDma;
-  for (auto _ : state) {
-    const PutGetSample s = measure(path, hops, size);
-    state.SetIterationTime(sim::to_seconds(s.put_latency));
-    state.counters["get_us"] = sim::to_us(s.get_latency);
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_PutLatency)
-    ->ArgsProduct({{1 << 10, 64 << 10, 512 << 10}, {1, 2}, {0, 1}})
-    ->UseManualTime()
-    ->Iterations(3)  // each iteration is a full deterministic sim run
-    ->Unit(benchmark::kMicrosecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   ntbshmem::bench::print_tables();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;

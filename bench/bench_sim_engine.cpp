@@ -15,11 +15,9 @@
 //   * a fiber stack-size ablation at the 256-host ring point
 //     (NTBSHMEM_FIBER_STACK_KiB respun via setenv between engines).
 //
-// Environment knobs (CI's sim-scale job caps the sweep):
+// Environment knobs:
 //   NTBSHMEM_SCALE_HOSTS          comma list, default "16,64,256,1024"
 //   NTBSHMEM_SCALE_ROUNDS         rounds per run, default 30
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -223,34 +221,11 @@ void print_report(const std::vector<ScaleSample>& samples) {
   t.print(std::cout);
 }
 
-void BM_EngineScaleFibers(benchmark::State& state) {
-  const int hosts = static_cast<int>(state.range(0));
-  const int rounds = env_int("NTBSHMEM_SCALE_ROUNDS", 30);
-  for (auto _ : state) {
-    const ScaleResult r = measure(ring_out(hosts), rounds);
-    state.counters["Mevents/s"] =
-        r.wall_ms > 0
-            ? static_cast<double>(r.dispatches) / (r.wall_ms * 1e3)
-            : 0.0;
-  }
-}
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
-BENCHMARK(ntbshmem::bench::BM_EngineScaleFibers)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Iterations(2)
-    ->Unit(benchmark::kMillisecond);
-
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   const auto samples = ntbshmem::bench::sweep();
   ntbshmem::bench::print_report(samples);
   ntbshmem::bench::write_scale_json(

@@ -1,19 +1,20 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Each bench binary does three things:
-//   1. registers google-benchmark benchmarks (manual time, fed from the
-//      virtual clock) so `--benchmark_filter` etc. work as usual,
-//   2. prints the paper-style table for its figure: one row per request
+// Each bench binary does two things:
+//   1. prints the paper-style table for its figure: one row per request
 //      size, one column per series — the same layout as the gnuplot data
 //      behind the paper's plots, and
-//   3. understands the observability flags (ObsCli below):
+//   2. understands the observability flags (ObsCli below):
 //        --trace-out=FILE    Chrome trace-event JSON of the last sim run
 //        --metrics-out=FILE  metrics snapshot (JSON) of the last sim run
 //        --causal-out=FILE   ntbshmem-trace-v1 causal trace of the last run
 //                            (the tools/tracecheck input)
+//      Any other argument stops the binary before it simulates anything,
+//      so a mistyped flag cannot silently run the default experiment.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,12 +42,11 @@ inline double to_MBps(std::uint64_t bytes, sim::Dur elapsed) {
 }
 
 // Observability CLI shared by every bench binary. main() calls
-// parse_args() before benchmark::Initialize (the flags are not google-
-// benchmark's, so they must be stripped first); each bench's options
-// factory calls apply() so runtimes record spans when a trace was asked
-// for; each measurement calls capture() before its Runtime dies. Benches
-// run many sequential runtimes — the last captured run is what lands on
-// disk, written at exit by report().
+// parse_args() first (after stripping any flags of its own); each bench's
+// options factory calls apply() so runtimes record spans when a trace was
+// asked for; each measurement calls capture() before its Runtime dies.
+// Benches run many sequential runtimes — the last captured run is what
+// lands on disk, written at exit by report().
 class ObsCli {
  public:
   static ObsCli& instance() {
@@ -54,9 +54,11 @@ class ObsCli {
     return cli;
   }
 
-  void parse_args(int* argc, char** argv) {
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
+  // Takes the observability flags. Any other argument is one no parser in
+  // the binary knows: name it and exit with status 2.
+  void parse_args(int argc, char** argv) {
+    bool unknown = false;
+    for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       if (arg.rfind("--trace-out=", 0) == 0) {
         trace_path_ = std::string(arg.substr(12));
@@ -65,10 +67,11 @@ class ObsCli {
       } else if (arg.rfind("--causal-out=", 0) == 0) {
         causal_path_ = std::string(arg.substr(13));
       } else {
-        argv[out++] = argv[i];
+        std::cerr << argv[0] << ": unknown argument " << arg << "\n";
+        unknown = true;
       }
     }
-    *argc = out;
+    if (unknown) std::exit(2);
   }
 
   bool tracing() const { return !trace_path_.empty(); }

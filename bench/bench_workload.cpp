@@ -4,7 +4,8 @@
 // run — percentile latencies out of the log2 histograms, goodput, per-link
 // utilization, and the schedule digest that pins the run bit-for-bit.
 //
-// Flags (stripped before google-benchmark sees argv):
+// Flags (besides bench_util.hpp's observability flags; any other argument
+// is an error):
 //   --scenario=kv|stencil|allreduce|all   what to run (default all)
 //   --backend=sim|shm                     data-path backend (default sim);
 //                                         shm runs each PE as a real forked
@@ -32,8 +33,6 @@
 // layer on and makes links resilient — the composition the PR 6 fault tests
 // pin; the KV report must still show zero verify errors and full request
 // conservation.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -306,30 +305,12 @@ void run_sweep() {
   }
 }
 
-// Minimal google-benchmark surface so the binary behaves like its siblings
-// under --benchmark_filter (CI invokes every bench with filter=none).
-void BM_WorkloadKv16(benchmark::State& state) {
-  for (auto _ : state) {
-    Cli cli;
-    cli.requests = 128;
-    shmem::Runtime rt(make_options("sim", 16, "ring", "pipelined", "none"));
-    workload::KvSpec spec;
-    spec.traffic = make_traffic(cli);
-    const workload::ScenarioReport run = workload::run_kv(rt, spec, cli.seed);
-    state.SetIterationTime(static_cast<double>(run.elapsed_ns) * 1e-9);
-  }
-}
-BENCHMARK(BM_WorkloadKv16)->UseManualTime()->Iterations(1);
-
 }  // namespace
 }  // namespace ntbshmem::bench
 
 int main(int argc, char** argv) {
-  ntbshmem::bench::ObsCli::instance().parse_args(&argc, argv);
   ntbshmem::bench::parse_cli(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
   if (ntbshmem::bench::g_cli.sweep) {
     ntbshmem::bench::run_sweep();
   } else {

@@ -37,13 +37,13 @@ model_ledger() {
   trap "rm -rf '$work'" EXIT
   (
     cd "$work"
-    "$build/bench/bench_fig8_link_transfer" --benchmark_filter=none >fig8.txt
-    "$build/bench/bench_fig9_putget" --benchmark_filter=none >fig9.txt
-    "$build/bench/bench_fig10_barrier" --benchmark_filter=none >fig10.txt
-    "$build/bench/bench_ablation_pipeline" --benchmark_filter=none >/dev/null
-    "$build/bench/bench_ablation_topology" --benchmark_filter=none >/dev/null
+    "$build/bench/bench_fig8_link_transfer" >fig8.txt
+    "$build/bench/bench_fig9_putget" >fig9.txt
+    "$build/bench/bench_fig10_barrier" >fig10.txt
+    "$build/bench/bench_ablation_pipeline" >/dev/null
+    "$build/bench/bench_ablation_topology" >/dev/null
     # CI's workload-slo slo16 KV run (its other scenarios run separately).
-    "$build/bench/bench_workload" --benchmark_filter=none --scenario=kv \
+    "$build/bench/bench_workload" --scenario=kv \
       --hosts=16 --requests=2048 --tuning=paper --out-prefix=slo16 >/dev/null
   )
   python3 - "$work" "$REPO_ROOT/BENCH_model.json" <<'EOF'

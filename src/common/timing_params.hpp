@@ -62,8 +62,6 @@ struct TimingParams {
   // ~order 100 MB/s on this class of hardware. Calibrated so a 512 KB
   // memcpy-mode Put lands in the paper's 4-5 ms band (Fig. 9a).
   double pio_write_Bps = 125e6;
-  // Non-posted MMIO reads are far slower; used only for register reads.
-  double pio_read_Bps = 40e6;
   // One 32-bit ScratchPad/Doorbell register access (PCIe round trip).
   DurationNs reg_access = 400_ns_d;
 

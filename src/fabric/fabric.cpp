@@ -13,7 +13,6 @@ ntb::PortConfig port_config_from(const TimingParams& t, double dma_rate,
   ntb::PortConfig cfg;
   cfg.dma_rate_Bps = dma_rate;
   cfg.pio_write_Bps = t.pio_write_Bps;
-  cfg.pio_read_Bps = t.pio_read_Bps;
   cfg.dma_setup = t.dma_setup;
   cfg.reg_write = t.reg_access;
   cfg.reg_read = 2 * t.reg_access;  // non-posted read round trip

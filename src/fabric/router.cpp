@@ -5,6 +5,7 @@
 #include <deque>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
 #include "sim/audit.hpp"
 
 namespace ntbshmem::fabric {
@@ -66,18 +67,12 @@ int RoutingTable::forward_port(int me, int dst, int in_port) const {
 }
 
 std::uint64_t RoutingTable::digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;  // FNV prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(mode_));
-  mix(static_cast<std::uint64_t>(num_hosts_));
+  std::uint64_t h = fnv::kOffset;
+  h = fnv::fold_u64(h, static_cast<std::uint64_t>(mode_));
+  h = fnv::fold_u64(h, static_cast<std::uint64_t>(num_hosts_));
   for (const auto* table :
        {&next_port_, &hops_, &response_port_, &response_hops_}) {
-    for (int v : *table) mix(static_cast<std::uint64_t>(v));
+    for (int v : *table) h = fnv::fold_u64(h, static_cast<std::uint64_t>(v));
   }
   return h;
 }

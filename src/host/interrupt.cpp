@@ -79,11 +79,6 @@ void InterruptController::unmask(int vector) {
   }
 }
 
-bool InterruptController::masked(int vector) const {
-  check_vector(vector);
-  return mask_flags_[static_cast<std::size_t>(vector)] != 0;
-}
-
 bool InterruptController::pending(int vector) const {
   check_vector(vector);
   return pending_flags_[static_cast<std::size_t>(vector)] != 0;

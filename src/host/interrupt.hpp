@@ -44,7 +44,6 @@ class InterruptController {
 
   void mask(int vector);
   void unmask(int vector);
-  bool masked(int vector) const;
   bool pending(int vector) const;
 
  private:

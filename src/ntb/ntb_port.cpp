@@ -220,17 +220,6 @@ void NtbPort::pio_write(int idx, std::uint64_t off,
   obs_pio_bytes_->add(src.size());
 }
 
-void NtbPort::pio_read(int idx, std::uint64_t off, std::span<std::byte> dst) {
-  require_connected("pio_read");
-  const WindowTarget w = require_mapped(idx, "pio_read");
-  await_link_up();
-  transfer_path(*w.peer_host, local_, link_->direction_from(pcie::opposite(end_)),
-                pcie::opposite(end_), dst.size(), config_.pio_read_Bps);
-  auto src = w.peer_host->memory().bytes(w.region, off, dst.size());
-  std::memcpy(dst.data(), src.data(), dst.size());
-  obs_pio_bytes_->add(dst.size());
-}
-
 void NtbPort::post(int first, std::span<const std::uint32_t> regs,
                    int doorbell) {
   require_connected("post");

@@ -29,6 +29,7 @@
 #include <span>
 #include <string>
 
+#include "common/fnv.hpp"
 #include "host/host.hpp"
 #include "obs/hub.hpp"
 #include "pcie/link.hpp"
@@ -62,7 +63,6 @@ struct PortConfig {
   double dma_rate_Bps = 3.0e9;     // engine peak (per-link override point)
   double dma_read_factor = 0.6;    // non-posted read penalty for dma_read
   double pio_write_Bps = 125e6;
-  double pio_read_Bps = 40e6;
   sim::Dur dma_setup = 3'000;      // descriptor program + completion poll
   sim::Dur reg_write = 400;        // posted 32-bit register write
   sim::Dur reg_read = 800;         // non-posted 32-bit register read
@@ -120,9 +120,8 @@ class NtbPort {
   // Clears the latched DMA error status (sticky until cleared; one reg
   // write).
   void clear_dma_error();
-  // PIO paths: CPU stores/loads through the mapped window.
+  // PIO path: CPU stores through the mapped window.
   void pio_write(int idx, std::uint64_t off, std::span<const std::byte> src);
-  void pio_read(int idx, std::uint64_t off, std::span<std::byte> dst);
 
   // ---- ScratchPad (blocking, process context) -------------------------------
   // Each adapter carries its own 8-register bank (back-to-back PLX
@@ -205,20 +204,14 @@ class NtbPort {
   // latch. Model-checker introspection (DESIGN.md §4i); excludes timing and
   // observability state on purpose.
   std::uint64_t state_hash() const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
-        v >>= 8;
-      }
-    };
-    for (const std::uint32_t r : scratchpad_) mix(r);
-    mix(db_status_);
-    mix(dma_error_latched_ ? 1u : 0u);
-    mix(latched_frames_.size());
+    std::uint64_t h = fnv::kOffset;
+    for (const std::uint32_t r : scratchpad_) h = fnv::fold_u64(h, r);
+    h = fnv::fold_u64(h, db_status_);
+    h = fnv::fold_u64(h, dma_error_latched_ ? 1u : 0u);
+    h = fnv::fold_u64(h, latched_frames_.size());
     for (const LatchedFrame& f : latched_frames_) {
-      mix(static_cast<std::uint64_t>(f.bit));
-      for (const std::uint32_t r : f.regs) mix(r);
+      h = fnv::fold_u64(h, static_cast<std::uint64_t>(f.bit));
+      for (const std::uint32_t r : f.regs) h = fnv::fold_u64(h, r);
     }
     return h;
   }

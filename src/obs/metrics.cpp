@@ -54,11 +54,6 @@ std::uint64_t Histogram::percentile(double q) const {
   return percentile_from_buckets(buckets, count_, min(), max_, q);
 }
 
-void Histogram::absorb(const Histogram& other) {
-  absorb(other.buckets_, kBuckets, other.count_, other.sum_, other.min(),
-         other.max_);
-}
-
 void Histogram::absorb(const std::uint64_t* buckets, std::size_t nbuckets,
                        std::uint64_t count, std::uint64_t sum,
                        std::uint64_t min, std::uint64_t max) {

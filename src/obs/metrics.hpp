@@ -93,12 +93,11 @@ class Histogram {
   // extremes (p0/p100) come back exact. 0 on an empty histogram.
   std::uint64_t percentile(double q) const;
 
-  // Merges another histogram's samples in (bucket-wise exact; count/sum
-  // exact; min/max exact) — how the shm backend folds each forked PE's
-  // registry back into the parent's after a run. The wire-image overload
-  // takes exported state: `buckets` holds the first `nbuckets` buckets
-  // (used_buckets() of the source), the rest are zero.
-  void absorb(const Histogram& other);
+  // Merges another histogram's exported state in (bucket-wise exact;
+  // count/sum exact; min/max exact) — how the shm backend folds each forked
+  // PE's registry back into the parent's after a run. `buckets` holds the
+  // first `nbuckets` buckets (used_buckets() of the source), the rest are
+  // zero.
   void absorb(const std::uint64_t* buckets, std::size_t nbuckets,
               std::uint64_t count, std::uint64_t sum, std::uint64_t min,
               std::uint64_t max);

@@ -7,6 +7,7 @@
 #include "backend/backend.hpp"
 #include "backend/des/des_backend.hpp"
 #include "backend/shm/shm_backend.hpp"
+#include "common/fnv.hpp"
 #include "obs/export.hpp"
 #include "shmem/collectives.hpp"
 
@@ -543,15 +544,8 @@ void Runtime::dump_flight(std::ostream& out) const {
 }
 
 std::uint64_t Runtime::state_hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
-      v >>= 8;
-    }
-  };
-  mix(engine_.state_hash());
-  for (const auto& t : transports_) mix(t->state_hash());
+  std::uint64_t h = fnv::fold_u64(fnv::kOffset, engine_.state_hash());
+  for (const auto& t : transports_) h = fnv::fold_u64(h, t->state_hash());
   // Live symmetric-heap bytes of every PE (the application-visible data the
   // safety properties speak about). Freed regions and unallocated tails are
   // skipped — their contents are unobservable.
@@ -561,10 +555,7 @@ std::uint64_t Runtime::state_hash() const {
     for (const auto& [off, len] : heap.allocation_ranges()) {
       buf.resize(len);
       heap.read(off, buf);
-      mix(off);
-      for (const std::byte b : buf) {
-        h = (h ^ static_cast<unsigned char>(b)) * 0x100000001b3ull;
-      }
+      h = fnv::fold_bytes(fnv::fold_u64(h, off), buf);
     }
   }
   return h;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
 #include "common/sorted.hpp"
 #include "shmem/runtime.hpp"
 
@@ -1722,128 +1723,117 @@ void Transport::send_delivery_ack(std::uint8_t origin, std::uint32_t op_id) {
 
 namespace {
 
-std::uint64_t mc_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
-    v >>= 8;
-  }
-  return h;
-}
+using fnv::fold_u64;
 
 std::uint64_t mc_mix_bytes(std::uint64_t h, std::span<const std::byte> bytes) {
-  for (const std::byte b : bytes) {
-    h = (h ^ static_cast<unsigned char>(b)) * 0x100000001b3ull;
-  }
-  return mc_mix(h, bytes.size());
+  return fold_u64(fnv::fold_bytes(h, bytes), bytes.size());
 }
 
 std::uint64_t mc_frame(std::uint64_t h, const FrameHeader& f) {
-  h = mc_mix(h, static_cast<std::uint64_t>(f.kind));
-  h = mc_mix(h, f.origin_pe);
-  h = mc_mix(h, f.target_pe);
-  h = mc_mix(h, f.flags);
-  h = mc_mix(h, f.id);
-  h = mc_mix(h, f.a);
-  h = mc_mix(h, f.b);
-  h = mc_mix(h, f.c);
-  return mc_mix(h, f.d);
+  h = fold_u64(h, static_cast<std::uint64_t>(f.kind));
+  h = fold_u64(h, f.origin_pe);
+  h = fold_u64(h, f.target_pe);
+  h = fold_u64(h, f.flags);
+  h = fold_u64(h, f.id);
+  h = fold_u64(h, f.a);
+  h = fold_u64(h, f.b);
+  h = fold_u64(h, f.c);
+  return fold_u64(h, f.d);
 }
-
-constexpr std::uint64_t kMcFnvOffset = 0xcbf29ce484222325ull;
 
 }  // namespace
 
 std::uint64_t Transport::state_hash() const {
-  std::uint64_t h = kMcFnvOffset;
+  std::uint64_t h = fnv::kOffset;
   // Per-adapter channel state, in port order (deterministic).
   for (std::size_t p = 0; p < tx_.size(); ++p) {
     const TxChannel& ch = *tx_[p];
-    h = mc_mix(h, ch.slot.available());
-    h = mc_mix(h, ch.free_slots.size());
-    for (const int s : ch.free_slots) h = mc_mix(h, static_cast<std::uint64_t>(s));
-    h = mc_mix(h, ch.inflight.size());
+    h = fold_u64(h, ch.slot.available());
+    h = fold_u64(h, ch.free_slots.size());
+    for (const int s : ch.free_slots) h = fold_u64(h, static_cast<std::uint64_t>(s));
+    h = fold_u64(h, ch.inflight.size());
     for (const TxChannel::InFlight& rec : ch.inflight) {
-      h = mc_mix(h, static_cast<std::uint64_t>(rec.stage_slot));
-      h = mc_mix(h, rec.counts_as_delivery ? 1u : 0u);
-      h = mc_mix(h, static_cast<std::uint64_t>(rec.delivery_domain));
-      h = mc_mix(h, rec.seq);
-      h = mc_mix(h, static_cast<std::uint64_t>(rec.doorbell));
+      h = fold_u64(h, static_cast<std::uint64_t>(rec.stage_slot));
+      h = fold_u64(h, rec.counts_as_delivery ? 1u : 0u);
+      h = fold_u64(h, static_cast<std::uint64_t>(rec.delivery_domain));
+      h = fold_u64(h, rec.seq);
+      h = fold_u64(h, static_cast<std::uint64_t>(rec.doorbell));
       h = mc_frame(h, rec.hdr);
     }
-    h = mc_mix(h, ch.next_seq);
-    h = mc_mix(h, port(static_cast<int>(p)).state_hash());
+    h = fold_u64(h, ch.next_seq);
+    h = fold_u64(h, port(static_cast<int>(p)).state_hash());
   }
   // Service queues, in queue order (deterministic deques).
-  h = mc_mix(h, rx_queue_.size());
+  h = fold_u64(h, rx_queue_.size());
   for (const RxToken& t : rx_queue_) {
-    h = mc_mix(h, static_cast<std::uint64_t>(t.from));
-    h = mc_mix(h, static_cast<std::uint64_t>(t.kind));
-    for (const std::uint32_t r : t.regs) h = mc_mix(h, r);
+    h = fold_u64(h, static_cast<std::uint64_t>(t.from));
+    h = fold_u64(h, static_cast<std::uint64_t>(t.kind));
+    for (const std::uint32_t r : t.regs) h = fold_u64(h, r);
   }
-  h = mc_mix(h, tx_queue_.size());
+  h = fold_u64(h, tx_queue_.size());
   for (const OutboundItem& it : tx_queue_) {
-    h = mc_mix(h, static_cast<std::uint64_t>(it.kind));
-    h = mc_mix(h, static_cast<std::uint64_t>(it.port));
+    h = fold_u64(h, static_cast<std::uint64_t>(it.kind));
+    h = fold_u64(h, static_cast<std::uint64_t>(it.port));
     h = mc_mix_bytes(h, it.message);
     h = mc_frame(h, it.raw_frame);
-    h = mc_mix(h, it.chunk_msg_id);
-    h = mc_mix(h, it.chunk_off);
-    h = mc_mix(h, it.chunk_total);
+    h = fold_u64(h, it.chunk_msg_id);
+    h = fold_u64(h, it.chunk_off);
+    h = fold_u64(h, it.chunk_total);
   }
-  h = mc_mix(h, retx_queue_.size());
+  h = fold_u64(h, retx_queue_.size());
   for (const RetxRequest& r : retx_queue_) {
-    h = mc_mix(h, static_cast<std::uint64_t>(r.port));
-    h = mc_mix(h, r.seq);
+    h = fold_u64(h, static_cast<std::uint64_t>(r.port));
+    h = fold_u64(h, r.seq);
   }
-  for (const std::uint8_t s : rx_expected_seq_) h = mc_mix(h, s);
+  for (const std::uint8_t s : rx_expected_seq_) h = fold_u64(h, s);
   // Unordered containers: iterate key-sorted snapshots so the buckets'
   // iteration order cannot leak into the hash. The maps are tiny on the
   // model-checker configs that call this, so the O(n log n) copy is cheap.
   for (const std::uint64_t key : sorted_keys(reassembly_)) {
     const Reassembly& re = reassembly_.at(key);
-    h = mc_mix(h, 1);
-    h = mc_mix(h, key);
-    h = mc_mix(h, re.received);
+    h = fold_u64(h, 1);
+    h = fold_u64(h, key);
+    h = fold_u64(h, re.received);
     h = mc_mix_bytes(h, re.data);
   }
   for (const std::uint64_t key : sorted_keys(cut_through_)) {
     const CutThrough& ct = cut_through_.at(key);
-    h = mc_mix(h, 2);
-    h = mc_mix(h, key);
-    h = mc_mix(h, ct.out_msg_id);
-    h = mc_mix(h, ct.forwarded);
-    h = mc_mix(h, static_cast<std::uint64_t>(ct.out_port));
+    h = fold_u64(h, 2);
+    h = fold_u64(h, key);
+    h = fold_u64(h, ct.out_msg_id);
+    h = fold_u64(h, ct.forwarded);
+    h = fold_u64(h, static_cast<std::uint64_t>(ct.out_port));
   }
   for (const std::uint32_t id : sorted_keys(pending_gets_)) {
     const PendingGet& pg = pending_gets_.at(id);
-    h = mc_mix(h, 3);
-    h = mc_mix(h, id);
-    h = mc_mix(h, pg.len);
-    h = mc_mix(h, pg.done ? 1u : 0u);
-    h = mc_mix(h, static_cast<std::uint64_t>(pg.domain));
+    h = fold_u64(h, 3);
+    h = fold_u64(h, id);
+    h = fold_u64(h, pg.len);
+    h = fold_u64(h, pg.done ? 1u : 0u);
+    h = fold_u64(h, static_cast<std::uint64_t>(pg.domain));
   }
   for (const std::uint32_t id : sorted_keys(pending_atomics_)) {
-    h = mc_mix(h, 4);
-    h = mc_mix(h, id);
-    h = mc_mix(h, pending_atomics_.at(id).done ? 1u : 0u);
+    h = fold_u64(h, 4);
+    h = fold_u64(h, id);
+    h = fold_u64(h, pending_atomics_.at(id).done ? 1u : 0u);
   }
   for (const auto& [domain, count] : sorted_items(outstanding_by_domain_)) {
-    h = mc_mix(h, 5);
-    h = mc_mix(h, static_cast<std::uint64_t>(domain));
-    h = mc_mix(h, count);
+    h = fold_u64(h, 5);
+    h = fold_u64(h, static_cast<std::uint64_t>(domain));
+    h = fold_u64(h, count);
   }
   for (const auto& [op, domain] : sorted_items(delivery_domain_of_op_)) {
-    h = mc_mix(h, 6);
-    h = mc_mix(h, op);
-    h = mc_mix(h, static_cast<std::uint64_t>(domain));
+    h = fold_u64(h, 6);
+    h = fold_u64(h, op);
+    h = fold_u64(h, static_cast<std::uint64_t>(domain));
   }
   // Barrier progress.
-  h = mc_mix(h, barrier_start_tokens_);
-  h = mc_mix(h, barrier_end_tokens_);
-  h = mc_mix(h, barrier_up_tokens_);
-  h = mc_mix(h, barrier_down_tokens_);
-  h = mc_mix(h, static_cast<std::uint64_t>(local_barrier_arrived_));
-  return mc_mix(h, local_barrier_round_);
+  h = fold_u64(h, barrier_start_tokens_);
+  h = fold_u64(h, barrier_end_tokens_);
+  h = fold_u64(h, barrier_up_tokens_);
+  h = fold_u64(h, barrier_down_tokens_);
+  h = fold_u64(h, static_cast<std::uint64_t>(local_barrier_arrived_));
+  return fold_u64(h, local_barrier_round_);
 }
 
 std::string Transport::pending_summary() const {

@@ -10,22 +10,14 @@ std::uint64_t splitmix64_mix(std::uint64_t x) {
 }
 
 void ScheduleDigest::reset() {
-  hash_ = kOffset;
+  hash_ = fnv::kOffset;
   count_ = 0;
 }
 
 void ScheduleDigest::mix(Time t, std::uint64_t seq, DispatchKind kind) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  auto fold = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (i * 8)) & 0xffu;
-      hash_ *= kPrime;
-    }
-  };
-  fold(static_cast<std::uint64_t>(t));
-  fold(seq);
-  hash_ ^= static_cast<std::uint64_t>(kind);
-  hash_ *= kPrime;
+  hash_ = fnv::fold_u64(hash_, static_cast<std::uint64_t>(t));
+  hash_ = fnv::fold_u64(hash_, seq);
+  hash_ = fnv::fold(hash_, static_cast<std::uint8_t>(kind));
   ++count_;
 }
 

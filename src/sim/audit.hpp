@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "common/fnv.hpp"
 #include "sim/time.hpp"
 
 namespace ntbshmem::sim {
@@ -49,9 +50,7 @@ class ScheduleDigest {
   std::uint64_t count() const { return count_; }
 
  private:
-  static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ull;
-
-  std::uint64_t hash_ = kOffset;
+  std::uint64_t hash_ = fnv::kOffset;
   std::uint64_t count_ = 0;
 };
 

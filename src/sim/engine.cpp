@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fnv.hpp"
 #include "sim/branch.hpp"
 #include "sim/event.hpp"
 
@@ -272,22 +273,10 @@ void Engine::run() {
 
 namespace {
 
-std::uint64_t fnv_mix_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
-    v >>= 8;
-  }
-  return h;
-}
-
 std::uint64_t fnv_mix_str(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return (h ^ 0xffu) * 0x100000001b3ull;  // terminator: "ab"+"c" != "a"+"bc"
+  // Terminator byte: "ab"+"c" != "a"+"bc".
+  return fnv::fold(fnv::fold_bytes(h, s), 0xff);
 }
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 }  // namespace
 
@@ -309,27 +298,27 @@ std::uint64_t Engine::state_hash() const {
                item.epoch_or_gen != item.process->epoch_) {
       continue;  // stale
     }
-    std::uint64_t h = kFnvOffset;
-    h = fnv_mix_u64(h, static_cast<std::uint64_t>(item.t - now_));
-    h = fnv_mix_u64(h, item.process == nullptr ? 1u : 2u);
+    std::uint64_t h = fnv::kOffset;
+    h = fnv::fold_u64(h, static_cast<std::uint64_t>(item.t - now_));
+    h = fnv::fold_u64(h, item.process == nullptr ? 1u : 2u);
     if (item.process != nullptr) h = fnv_mix_str(h, item.process->name());
     xored ^= h;
     summed += h;
     ++items;
   }
-  std::uint64_t acc = kFnvOffset;
-  acc = fnv_mix_u64(acc, xored);
-  acc = fnv_mix_u64(acc, summed);
-  acc = fnv_mix_u64(acc, items);
+  std::uint64_t acc = fnv::kOffset;
+  acc = fnv::fold_u64(acc, xored);
+  acc = fnv::fold_u64(acc, summed);
+  acc = fnv::fold_u64(acc, items);
   // Process control state, in spawn order (deterministic across replays of
   // the same workload). Epochs and seq counters are excluded on purpose.
   for (const auto& p : processes_) {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     h = fnv_mix_str(h, p->name_);
-    h = fnv_mix_u64(h, (p->started_ ? 1u : 0u) | (p->finished_ ? 2u : 0u) |
-                           (p->daemon_ ? 4u : 0u));
+    h = fnv::fold_u64(h, (p->started_ ? 1u : 0u) | (p->finished_ ? 2u : 0u) |
+                            (p->daemon_ ? 4u : 0u));
     if (p->waiting_on_ != nullptr) h = fnv_mix_str(h, p->waiting_on_->name());
-    acc = fnv_mix_u64(acc, h);
+    acc = fnv::fold_u64(acc, h);
   }
   return acc;
 }

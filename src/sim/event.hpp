@@ -31,7 +31,6 @@ class Event {
   // scheduler (callback) context. No-op when nobody waits.
   void notify_all();
 
-  std::size_t waiter_count() const { return waiters_.size(); }
   const std::string& name() const { return name_; }
   Engine& engine() const { return engine_; }
 

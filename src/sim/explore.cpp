@@ -3,24 +3,18 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
+
 namespace ntbshmem::sim {
 
 namespace {
 
-std::uint64_t fnv_mix_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
-    v >>= 8;
-  }
-  return h;
-}
-
 std::uint64_t branch_key(std::uint64_t state_hash, Choice::Kind kind,
                          std::uint32_t options) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv_mix_u64(h, state_hash);
-  h = fnv_mix_u64(h, static_cast<std::uint64_t>(kind));
-  h = fnv_mix_u64(h, options);
+  std::uint64_t h = fnv::kOffset;
+  h = fnv::fold_u64(h, state_hash);
+  h = fnv::fold_u64(h, static_cast<std::uint64_t>(kind));
+  h = fnv::fold_u64(h, options);
   return h;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/fnv.hpp"
 #include "obs/trace.hpp"
 #include "sim/branch.hpp"
 
@@ -9,16 +10,11 @@ namespace ntbshmem::sim {
 
 namespace {
 
-// FNV-1a 64-bit over the site tag and key bytes. std::hash is not used on
-// purpose: its value is implementation-defined, and stream identities must
-// be stable across platforms for seeds to be shareable in bug reports.
+// FNV-1a over the site tag and key bytes: stream identities must be stable
+// across platforms for seeds to be shareable in bug reports.
 std::uint64_t site_hash(FaultPlan::Site site, const std::string& key) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = (h ^ static_cast<std::uint64_t>(site)) * 0x100000001b3ull;
-  for (const char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return h;
+  return fnv::fold_bytes(
+      fnv::fold(fnv::kOffset, static_cast<std::uint8_t>(site)), key);
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {

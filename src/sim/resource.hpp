@@ -31,7 +31,6 @@ class Resource {
 
   std::size_t available() const { return available_; }
   std::size_t capacity() const { return capacity_; }
-  std::size_t waiter_count() const { return waiters_.size(); }
   const std::string& name() const { return name_; }
 
   // RAII ownership of one unit.

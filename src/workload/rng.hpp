@@ -19,24 +19,15 @@
 #include <string_view>
 #include <vector>
 
-namespace ntbshmem::workload {
+#include "common/fnv.hpp"
 
-// FNV-1a 64-bit, same constants as sim::FaultPlan's site_hash: stream
-// identities must be stable across platforms so a seed in a bug report
-// reproduces the traffic anywhere.
-constexpr std::uint64_t fnv1a(std::string_view key) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return h;
-}
+namespace ntbshmem::workload {
 
 // One independent splitmix64 stream.
 class Stream {
  public:
   Stream(std::uint64_t seed, std::string_view key)
-      : state_(seed ^ fnv1a(key)) {}
+      : state_(seed ^ fnv::fold_bytes(fnv::kOffset, key)) {}
 
   std::uint64_t next_u64() {
     state_ += 0x9e3779b97f4a7c15ull;

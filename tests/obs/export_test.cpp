@@ -24,6 +24,21 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape(std::string_view("a\x01z", 3)), "a\\u0001z");
 }
 
+// Every export test leans on json_well_formed, so it must reject the
+// classic serializer bugs, not merely parse what it is given.
+TEST(JsonWellFormedTest, RejectsMalformedDocuments) {
+  EXPECT_TRUE(json_well_formed(R"({"a": [1, -2.5e3, "x\n"], "b": null})"));
+  EXPECT_FALSE(json_well_formed(R"({"a": [1, 2,]})"));  // trailing comma
+  EXPECT_FALSE(json_well_formed(R"({"a": 1,})"));
+  EXPECT_FALSE(json_well_formed(R"({"a": [1, 2})"));  // unbalanced bracket
+  EXPECT_FALSE(json_well_formed(R"([{"a": 1])"));
+  EXPECT_FALSE(json_well_formed(R"({"a": 1} x)"));  // trailing garbage
+  EXPECT_FALSE(json_well_formed("[\"a\nb\"]"));  // raw newline in a string
+  EXPECT_FALSE(json_well_formed("[+1]"));
+  EXPECT_FALSE(json_well_formed("[1.]"));
+  EXPECT_FALSE(json_well_formed("[nan]"));
+}
+
 // Hand-builds a tracer with every record kind, exports it, and checks the
 // Chrome trace-event structure that Perfetto relies on.
 TEST(ChromeTraceTest, ExportsAllRecordKindsAsWellFormedJson) {

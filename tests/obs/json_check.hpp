@@ -1,149 +1,23 @@
-// Minimal JSON well-formedness checker for the export tests.
-//
-// Not a general parser: it validates the value grammar (objects, arrays,
-// strings with escapes, numbers, literals) and rejects trailing garbage —
-// enough to catch the classic serializer bugs (trailing commas, unescaped
-// quotes, unbalanced brackets) without pulling in a JSON dependency.
+// JSON checks for the export tests. Well-formedness is decided by the
+// tracecheck parser, so the tests accept exactly what the artifact checker
+// reads and the repo has one JSON grammar.
 #pragma once
 
-#include <cctype>
+#include <cstddef>
+#include <exception>
 #include <string_view>
+
+#include "../../tools/tracecheck/json.hpp"
 
 namespace ntbshmem::obs::testing {
 
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool valid() {
-    pos_ = 0;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              return false;
-            }
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digits()) return false;
-    if (peek() == '.') {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) return false;
-    }
-    return pos_ > start;
-  }
-
-  bool digits() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 inline bool json_well_formed(std::string_view text) {
-  return JsonChecker(text).valid();
+  try {
+    tracecheck::json::parse(text);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 // Occurrences of an exact byte pattern (serializer output has no optional

@@ -2,9 +2,11 @@
 //
 // Parses exactly the subset the ntbshmem-trace-v1 artifact uses (objects,
 // arrays, strings with escapes, numbers incl. exponents, booleans, null)
-// into a deterministic DOM (std::map keys iterate sorted). Errors throw
-// std::runtime_error with a byte offset; no dependencies beyond the
-// standard library, so the checker builds anywhere the simulator does.
+// into a deterministic DOM (std::map keys iterate sorted). It follows the
+// JSON grammar strictly (no raw control characters in strings, no "+1" or
+// "1."), because the export tests use it as their well-formedness check.
+// Errors throw std::runtime_error with a byte offset; no dependencies beyond
+// the standard library, so the checker builds anywhere the simulator does.
 #pragma once
 
 #include <cstdint>
@@ -177,6 +179,7 @@ class Parser {
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character");
       if (c != '\\') {
         out += c;
         continue;
@@ -218,27 +221,29 @@ class Parser {
     }
   }
 
+  // JSON's number grammar: -?digits(.digits)?([eE][+-]?digits)?
   Value number() {
     const std::size_t start = pos_;
-    auto accept = [&](auto pred) {
-      while (pos_ < text_.size() && pred(text_[pos_])) ++pos_;
+    auto digits = [&] {
+      const std::size_t first = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      if (pos_ == first) fail("expected a value");
     };
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    accept([](char c) { return c >= '0' && c <= '9'; });
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    digits();
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-      accept([](char c) { return c >= '0' && c <= '9'; });
+      digits();
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
         ++pos_;
       }
-      accept([](char c) { return c >= '0' && c <= '9'; });
+      digits();
     }
-    if (pos_ == start) fail("expected a value");
     Value v;
     v.type = Value::Type::kNumber;
     v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
