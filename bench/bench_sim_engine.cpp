@@ -15,9 +15,7 @@
 //   * a fiber stack-size ablation at the 256-host ring point
 //     (NTBSHMEM_FIBER_STACK_KiB respun via setenv between engines).
 //
-// Environment knobs:
-//   NTBSHMEM_SCALE_HOSTS          comma list, default "16,64,256,1024"
-//   NTBSHMEM_SCALE_ROUNDS         rounds per run, default 30
+// Every point runs kRounds rounds at one of kHostCounts.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -34,26 +32,8 @@
 namespace ntbshmem::bench {
 namespace {
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
-
-std::vector<int> host_counts() {
-  std::vector<int> hosts;
-  const char* v = std::getenv("NTBSHMEM_SCALE_HOSTS");
-  std::string s = (v != nullptr && *v != '\0') ? v : "16,64,256,1024";
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const int n = std::atoi(s.substr(pos, comma - pos).c_str());
-    if (n > 1) hosts.push_back(n);
-    pos = comma + 1;
-  }
-  return hosts;
-}
+constexpr int kHostCounts[] = {16, 64, 256, 1024};
+constexpr int kRounds = 30;
 
 // Neighbour sets: who each host notifies every round. In-degree equals
 // out-degree for both shapes, which is what the predicate loops rely on.
@@ -181,15 +161,14 @@ ScaleSample to_sample(const ScaleResult& r, std::string mode, int hosts,
 }
 
 std::vector<ScaleSample> sweep() {
-  const int rounds = env_int("NTBSHMEM_SCALE_ROUNDS", 30);
   std::vector<ScaleSample> samples;
-  for (int hosts : host_counts()) {
+  for (int hosts : kHostCounts) {
     for (const char* topo : {"ring", "torus"}) {
       const auto out =
           std::string(topo) == "ring" ? ring_out(hosts) : torus_out(hosts);
-      const ScaleResult fib = measure(out, rounds);
+      const ScaleResult fib = measure(out, kRounds);
       samples.push_back(to_sample(fib, std::string("fibers-") + topo, hosts,
-                                  rounds,
+                                  kRounds,
                                   sim::Fiber::default_stack_bytes() / 1024));
     }
   }
@@ -199,9 +178,9 @@ std::vector<ScaleSample> sweep() {
   const int ab_hosts = 256;
   for (const char* kib : {"64", "256", "1024"}) {
     setenv("NTBSHMEM_FIBER_STACK_KiB", kib, 1);
-    const ScaleResult r = measure(ring_out(ab_hosts), rounds);
+    const ScaleResult r = measure(ring_out(ab_hosts), kRounds);
     samples.push_back(to_sample(r, std::string("fibers-stack") + kib + "KiB",
-                                ab_hosts, rounds,
+                                ab_hosts, kRounds,
                                 std::strtoull(kib, nullptr, 10)));
   }
   unsetenv("NTBSHMEM_FIBER_STACK_KiB");

@@ -4,8 +4,8 @@
 // run — percentile latencies out of the log2 histograms, goodput, per-link
 // utilization, and the schedule digest that pins the run bit-for-bit.
 //
-// Flags (besides bench_util.hpp's observability flags; any other argument
-// is an error):
+// Flags (besides bench_util.hpp's observability flags; any other argument,
+// and any value outside what is listed, is an error: exit 2, named):
 //   --scenario=kv|stencil|allreduce|all   what to run (default all)
 //   --backend=sim|shm                     data-path backend (default sim);
 //                                         shm runs each PE as a real forked
@@ -34,11 +34,16 @@
 // pin; the KV report must still show zero verify errors and full request
 // conservation.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -69,46 +74,78 @@ struct Cli {
 
 Cli g_cli;
 
+// Whole-string number: "", "12x", "1.5" for an int and out-of-range
+// values all fail.
+template <typename T>
+bool parse_number(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+bool one_of(std::string_view v, std::initializer_list<std::string_view> set) {
+  return std::find(set.begin(), set.end(), v) != set.end();
+}
+
+// Takes this binary's own flags out of argv, leaving the rest for ObsCli. A
+// malformed or unknown value is named and exits 2 before anything runs.
 void parse_cli(int* argc, char** argv) {
   int out = 1;
+  bool bad = false;
   for (int i = 1; i < *argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto val = [&](std::string_view flag) -> std::string_view {
-      return arg.substr(flag.size());
+    std::string_view v;
+    const auto is = [&](std::string_view flag) {
+      if (arg.rfind(flag, 0) != 0) return false;
+      v = arg.substr(flag.size());
+      return true;
     };
-    if (arg.rfind("--scenario=", 0) == 0) {
-      g_cli.scenario = std::string(val("--scenario="));
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      g_cli.backend = std::string(val("--backend="));
-    } else if (arg.rfind("--hosts=", 0) == 0) {
-      g_cli.hosts = std::stoi(std::string(val("--hosts=")));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      g_cli.seed = std::stoull(std::string(val("--seed=")));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      g_cli.requests = std::stoull(std::string(val("--requests=")));
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      g_cli.iterations = std::stoi(std::string(val("--iterations=")));
-    } else if (arg.rfind("--steps=", 0) == 0) {
-      g_cli.steps = std::stoi(std::string(val("--steps=")));
-    } else if (arg.rfind("--arrival=", 0) == 0) {
-      g_cli.arrival = std::string(val("--arrival="));
-    } else if (arg.rfind("--rate=", 0) == 0) {
-      g_cli.rate = std::stod(std::string(val("--rate=")));
-    } else if (arg.rfind("--topology=", 0) == 0) {
-      g_cli.topology = std::string(val("--topology="));
-    } else if (arg.rfind("--tuning=", 0) == 0) {
-      g_cli.tuning = std::string(val("--tuning="));
-    } else if (arg.rfind("--fault-plan=", 0) == 0) {
-      g_cli.fault_plan = std::string(val("--fault-plan="));
-    } else if (arg.rfind("--out-prefix=", 0) == 0) {
-      g_cli.out_prefix = std::string(val("--out-prefix="));
+    bool ok = true;
+    if (is("--scenario=")) {
+      ok = one_of(v, {"kv", "stencil", "allreduce", "all"});
+      g_cli.scenario = std::string(v);
+    } else if (is("--backend=")) {
+      ok = one_of(v, {"sim", "shm"});
+      g_cli.backend = std::string(v);
+    } else if (is("--hosts=")) {
+      ok = parse_number(v, &g_cli.hosts) && g_cli.hosts > 0;
+    } else if (is("--seed=")) {
+      ok = parse_number(v, &g_cli.seed);
+    } else if (is("--requests=")) {
+      ok = parse_number(v, &g_cli.requests);
+    } else if (is("--iterations=")) {
+      ok = parse_number(v, &g_cli.iterations) && g_cli.iterations > 0;
+    } else if (is("--steps=")) {
+      ok = parse_number(v, &g_cli.steps) && g_cli.steps > 0;
+    } else if (is("--arrival=")) {
+      ok = one_of(v, {"closed", "fixed", "poisson"});
+      g_cli.arrival = std::string(v);
+    } else if (is("--rate=")) {
+      ok = parse_number(v, &g_cli.rate) && std::isfinite(g_cli.rate) &&
+           g_cli.rate > 0.0;
+    } else if (is("--topology=")) {
+      ok = one_of(v, {"ring", "chordal", "torus", "fullmesh"});
+      g_cli.topology = std::string(v);
+    } else if (is("--tuning=")) {
+      ok = one_of(v, {"paper", "pipelined"});
+      g_cli.tuning = std::string(v);
+    } else if (is("--fault-plan=")) {
+      ok = one_of(v, {"none", "drop", "flaky"});
+      g_cli.fault_plan = std::string(v);
+    } else if (is("--out-prefix=")) {
+      g_cli.out_prefix = std::string(v);
     } else if (arg == "--sweep") {
       g_cli.sweep = true;
     } else {
       argv[out++] = argv[i];
     }
+    if (!ok) {
+      std::cerr << argv[0] << ": bad value " << arg << "\n";
+      bad = true;
+    }
   }
   *argc = out;
+  if (bad) std::exit(2);
 }
 
 // Widest rows x cols split of n (rows <= cols), for --topology=torus.

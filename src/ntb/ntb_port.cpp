@@ -102,12 +102,9 @@ void NtbPort::transfer_path(host::Host& src_host, host::Host& dst_host,
   // carrying both a TX and an RX stream in the Fig. 8 ring experiment)
   // stretches that stage's completion and thus the whole transfer.
   link_->note_transfer_start(wire_end, bytes);
-  auto src_done = src_host.bus().transfer_async(bytes, cap);
-  auto wire_done = wire.transfer_async(bytes, cap);
-  auto dst_done = dst_host.bus().transfer_async(bytes, cap);
-  src_done->wait();
-  wire_done->wait();
-  dst_done->wait();
+  sim::BandwidthResource* const stages[] = {&src_host.bus(), &wire,
+                                            &dst_host.bus()};
+  sim::transfer_path(stages, bytes, cap);
   // Link-layer TLP loss/LCRC errors stall the transfer for replay rounds
   // but never deliver bad data (CRC-detected, as on a real PCIe link).
   const sim::Dur replay = link_->fault_replay_delay(

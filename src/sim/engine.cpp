@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "common/fnv.hpp"
+#include "sim/bandwidth.hpp"
 #include "sim/branch.hpp"
-#include "sim/event.hpp"
 
 namespace ntbshmem::sim {
 
@@ -90,6 +90,11 @@ void CallbackHandle::cancel() {
 Engine::Engine() : fiber_stack_bytes_(Fiber::default_stack_bytes()) {}
 
 Engine::~Engine() { shutdown(); }
+
+FlowTimers& Engine::flow_timers() {
+  if (!flow_timers_) flow_timers_ = std::make_unique<FlowTimers>(*this);
+  return *flow_timers_;
+}
 
 Process& Engine::spawn(std::string name, std::function<void()> body,
                        bool daemon) {
@@ -317,7 +322,7 @@ std::uint64_t Engine::state_hash() const {
     h = fnv_mix_str(h, p->name_);
     h = fnv::fold_u64(h, (p->started_ ? 1u : 0u) | (p->finished_ ? 2u : 0u) |
                             (p->daemon_ ? 4u : 0u));
-    if (p->waiting_on_ != nullptr) h = fnv_mix_str(h, p->waiting_on_->name());
+    if (p->waiting_on_ != nullptr) h = fnv_mix_str(h, *p->waiting_on_);
     acc = fnv::fold_u64(acc, h);
   }
   return acc;
@@ -329,7 +334,7 @@ void Engine::throw_deadlock() {
   for (const auto& p : processes_) {
     if (p->finished() || p->daemon()) continue;
     oss << " [" << p->name();
-    if (p->waiting_on_ != nullptr) oss << " waiting on " << p->waiting_on_->name();
+    if (p->waiting_on_ != nullptr) oss << " waiting on " << *p->waiting_on_;
     oss << "]";
   }
   throw SimDeadlock(oss.str());
@@ -338,6 +343,17 @@ void Engine::throw_deadlock() {
 void Engine::wait_until(Time t) {
   Process* p = require_current("wait_until");
   if (t < now_) t = now_;
+  // An entry at t itself holds a smaller seq and dispatches first. The
+  // front may be stale; then the wait takes the queue like any other.
+  if (hook_ == nullptr && !p->killed_ &&
+      (queue_.empty() || queue_.front().t > t)) {
+    const std::uint64_t seq = next_seq_++;
+    now_ = t;
+    dispatch_count_++;
+    if (digest_enabled_) digest_.mix(now_, seq, DispatchKind::kProcess);
+    p->epoch_++;  // as block() does on resume
+    return;
+  }
   schedule_process(t, p);
   p->block();
 }

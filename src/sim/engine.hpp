@@ -50,8 +50,8 @@ namespace ntbshmem::sim {
 
 class BranchHook;
 class Engine;
-class Event;
 class FaultPlan;
+class FlowTimers;
 
 // Thrown (once) inside a process when the engine shuts down while the
 // process is still blocked; unwinds the process stack so RAII cleanup runs.
@@ -92,7 +92,6 @@ class Process {
 
  private:
   friend class Engine;
-  friend class Event;
 
   Process(Engine& engine, std::string name, std::function<void()> body,
           bool daemon);
@@ -118,7 +117,9 @@ class Process {
   // carry the epoch they were created under so a stale entry (a second
   // wake-up queued for a process that already resumed) is skipped.
   std::uint64_t epoch_ = 0;
-  Event* waiting_on_ = nullptr;  // deadlock diagnostics and state_hash
+  // Name of what the process is blocked on (an Event, a transfer stage):
+  // deadlock diagnostics and state_hash.
+  const std::string* waiting_on_ = nullptr;
   // Created lazily on first resume (a process killed before it ever ran
   // needs no stack); stack released eagerly on finish.
   std::unique_ptr<Fiber> fiber_;
@@ -175,6 +176,11 @@ class Engine {
   CallbackHandle call_after(Dur d, std::function<void()> fn);
 
   // ---- Process-context operations (must run inside a spawned process) ----
+  // Timed waits. When the wake-up would be the very next dispatch anyway
+  // (no branch hook, the process is not being killed, and nothing is queued
+  // at or before `t`), the process continues in place: seq, clock,
+  // dispatch count, digest and epoch advance exactly as a resume would,
+  // without the queue round trip or the two fiber switches.
   void wait_until(Time t);
   void wait_for(Dur d);
   // Reschedules the current process at the current time, after everything
@@ -254,7 +260,7 @@ class Engine {
   // non-stale queue item folded as (t - now, kind, process name) with a
   // commutative combine (so the heap's physical layout, which depends on
   // push history, cannot leak in), plus each live process's (name, started,
-  // waiting-on event).
+  // name of what it waits on).
   // Path-dependent counters (seq, epoch, dispatch_count) are deliberately
   // excluded so that two interleavings reaching the same logical state
   // collide — that collision is exactly what lets the model checker prune
@@ -276,12 +282,26 @@ class Engine {
   // The wake-up is ignored if `p` is resumed by other means first.
   void schedule_process(Time t, Process* p);
   // Parks `p` (must be the current process) until schedule_process resumes
-  // it — the building block for custom blocking primitives.
-  void block_current(Process* p) { p->block(); }
+  // it — the building block for custom blocking primitives. `waiting_on`
+  // names what it waits on (deadlock reports, state_hash) until wake().
+  void block_current(Process* p, const std::string* waiting_on = nullptr) {
+    p->waiting_on_ = waiting_on;
+    p->block();
+  }
+  // Clears `p`'s waiting_on name and queues its wake-up at now().
+  void wake(Process* p) {
+    p->waiting_on_ = nullptr;
+    schedule_process(now_, p);
+  }
+  // The seq the next queue push or in-place continuation takes. Two pushes
+  // with nothing in between hold consecutive keys (FlowTimers).
+  std::uint64_t next_seq() const { return next_seq_; }
+  // The completion timers shared by this engine's BandwidthResources
+  // (sim/bandwidth.hpp), created on first use.
+  FlowTimers& flow_timers();
 
  private:
   friend class Process;
-  friend class Event;
   friend class CallbackHandle;
 
   struct QueueItem {
@@ -352,6 +372,7 @@ class Engine {
   std::exception_ptr first_error_;
   bool digest_enabled_ = false;
   ScheduleDigest digest_;
+  std::unique_ptr<FlowTimers> flow_timers_;
 };
 
 }  // namespace ntbshmem::sim

@@ -100,6 +100,28 @@ TEST_F(NtbPairFixture, DmaWriteTimingMatchesRateAndSetup) {
   EXPECT_NEAR(static_cast<double>(done), want_ns, 5000.0);
 }
 
+TEST_F(NtbPairFixture, UncontendedDmaWriteIsThreeDispatches) {
+  // The descriptor setup, one completion timer for all three stages
+  // (source bus, wire and destination bus drain at the DMA cap and end on
+  // the same nanosecond), and the caller's wake-up.
+  const auto region = host_b_->memory().allocate(4096);
+  port_a_->program_window(kRawWindow, region);
+  const auto data = pattern(4096);
+  sim::Dur took = -1;
+  std::uint64_t dispatches = 0;
+  engine_.spawn("p", [&] {
+    const sim::Time t0 = engine_.now();
+    const std::uint64_t d0 = engine_.dispatch_count();
+    EXPECT_TRUE(port_a_->dma_write(kRawWindow, 0, data));
+    dispatches = engine_.dispatch_count() - d0;
+    took = engine_.now() - t0;
+  });
+  engine_.run();
+  // 3 us setup + ceil(4096 B at 3 GB/s) = 1,366 ns.
+  EXPECT_EQ(took, 4'366);
+  EXPECT_EQ(dispatches, 3u);
+}
+
 TEST_F(NtbPairFixture, PioWriteIsMuchSlowerThanDma) {
   const auto region = host_b_->memory().allocate(1u << 20);
   port_a_->program_window(kRawWindow, region);

@@ -1,11 +1,14 @@
 // Tests for the fluid-flow BandwidthResource against analytically computed
 // schedules: solo transfers, equal sharing, caps, mid-flight arrivals and
-// departures, and zero-byte edge cases.
+// departures, multi-stage paths, shared completion timers and zero-byte
+// edge cases.
 #include "sim/bandwidth.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "sim_test_util.hpp"
 
@@ -129,19 +132,69 @@ TEST(BandwidthTest, ZeroByteTransferCompletesImmediately) {
   EXPECT_EQ(done, 0);
 }
 
-TEST(BandwidthTest, AsyncCompletionEventFires) {
+TEST(BandwidthTest, PathFinishesWithItsSlowestStage) {
   Engine engine;
-  BandwidthResource link(engine, "link", kBps);
-  Time done = -1;
+  BandwidthResource fast(engine, "fast", kBps);
+  BandwidthResource slow(engine, "slow", kBps / 2);
+  Time via_both = -1;
+  Time twice_fast = -1;
   engine.spawn("p", [&] {
-    auto a = link.transfer_async(1'000'000);
-    auto b = link.transfer_async(1'000'000);
-    a->wait();
-    b->wait();
-    done = engine.now();
+    BandwidthResource* const both[] = {&fast, &slow};
+    transfer_path(both, 1'000'000);  // 1 ms on fast, 2 ms on slow
+    via_both = engine.now();
+    // Two stages on one resource are two flows sharing it: 2 ms for both.
+    BandwidthResource* const twice[] = {&fast, &fast};
+    transfer_path(twice, 1'000'000);
+    twice_fast = engine.now() - via_both;
   });
   engine.run();
-  expect_near_time(done, 2e6);
+  expect_near_time(via_both, 2e6, 1);
+  expect_near_time(twice_fast, 2e6, 1);
+}
+
+TEST(BandwidthTest, TimersArmedBackToBackForOneInstantShareOneCallback) {
+  // Neither process takes an engine key between the two arms, so the second
+  // resource joins the first one's timer: one callback finishes both.
+  Engine engine;
+  BandwidthResource a(engine, "a", kBps);
+  BandwidthResource b(engine, "b", kBps);
+  Time done_a = -1;
+  Time done_b = -1;
+  engine.spawn("pa", [&] {
+    a.transfer(1'000);
+    done_a = engine.now();
+  });
+  engine.spawn("pb", [&] {
+    b.transfer(1'000);
+    done_b = engine.now();
+  });
+  engine.run();
+  EXPECT_EQ(done_a, 1'000);
+  EXPECT_EQ(done_b, 1'000);
+  EXPECT_EQ(engine.alloc_stats().callbacks_scheduled, 1u);
+}
+
+TEST(BandwidthTest, PushBetweenTimersKeepsThemSeparate) {
+  // A callback pushed between the two arms sits between their keys, so the
+  // second resource pushes a timer of its own.
+  Engine engine;
+  BandwidthResource a(engine, "a", kBps);
+  BandwidthResource b(engine, "b", kBps);
+  std::vector<std::string> order;
+  engine.spawn("pa", [&] {
+    a.transfer(1'000);
+    order.push_back("a");
+  });
+  engine.spawn("pb", [&] {
+    engine.call_after(1'000, [&] { order.push_back("between"); });
+    b.transfer(1'000);
+    order.push_back("b");
+  });
+  engine.run();
+  EXPECT_EQ(engine.now(), 1'000);
+  EXPECT_EQ(engine.alloc_stats().callbacks_scheduled, 3u);
+  const std::vector<std::string> want = {"between", "a", "b"};
+  EXPECT_EQ(order, want);
 }
 
 TEST(BandwidthTest, ThreeFlowsConvergeToFairThird) {

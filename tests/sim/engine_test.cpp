@@ -1,6 +1,6 @@
 // Unit tests for the discrete-event engine: clock behaviour, process
-// scheduling order, callbacks, deadlock detection, error propagation and
-// shutdown of daemon processes.
+// scheduling order, in-place continuation of timed waits, callbacks,
+// deadlock detection, error propagation and shutdown of daemon processes.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/bandwidth.hpp"
+#include "sim/branch.hpp"
 #include "sim/event.hpp"
 #include "sim_test_util.hpp"
 
@@ -110,6 +112,84 @@ TEST(EngineTest, StaleSecondWakeupIsSkipped) {
   ASSERT_EQ(wakes.size(), 2u);
   EXPECT_EQ(wakes[0], 2'000);
   EXPECT_EQ(wakes[1], 102'000);
+}
+
+TEST(EngineTest, WakeQueuedBeforeAnInPlaceWaitIsStale) {
+  // The process queues its own wake-up for 20 us, then waits 10 us with
+  // nothing due before: the wait continues in place, which consumes the
+  // epoch as a resume does, so the 20 us entry must not cut the next wait
+  // short (nor count as a dispatch).
+  Engine engine;
+  std::vector<Time> wakes;
+  engine.spawn("w", [&] {
+    engine.schedule_process(usec(20), engine.current());
+    engine.wait_for(usec(10));
+    wakes.push_back(engine.now());
+    engine.wait_for(usec(100));
+    wakes.push_back(engine.now());
+  });
+  engine.run();
+  const std::vector<Time> want = {10'000, 110'000};
+  EXPECT_EQ(wakes, want);
+  EXPECT_EQ(engine.dispatch_count(), 3u);  // start, 10 us, 110 us
+}
+
+// Always dispatches the first same-instant item: the unhooked order, but
+// with a hook installed every timed wait takes the queue.
+class FirstItemHook final : public BranchHook {
+ public:
+  std::size_t choose_dispatch(std::size_t) override { return 0; }
+  bool choose_fault(int, const std::string&) override { return false; }
+};
+
+TEST(EngineTest, InPlaceContinuationKeepsDigestAndDispatchCount) {
+  struct Outcome {
+    std::uint64_t digest;
+    std::uint64_t dispatches;
+    std::vector<Time> done;
+  };
+  const auto run = [](BranchHook* hook) {
+    Engine engine;
+    engine.enable_schedule_digest();
+    engine.set_branch_hook(hook);
+    BandwidthResource bus(engine, "bus", 2e9);
+    BandwidthResource wire(engine, "wire", 1e9);
+    Event go(engine, "go");
+    bool open = false;
+    std::vector<Time> done(5, -1);
+    // A lone tail of waits nothing else is due before, zero waits, waits
+    // landing on the same instant as other processes' and as callbacks,
+    // event wake-ups, and multi-stage transfers with shared timers.
+    for (int i = 0; i < 4; ++i) {
+      engine.spawn(numbered("p", i), [&, i] {
+        while (!open) go.wait();
+        for (int k = 0; k < 12; ++k) {
+          engine.wait_for(static_cast<Dur>((i + k) % 3) * 500);
+          BandwidthResource* const path[] = {&bus, &wire};
+          transfer_path(path, 1'000 + static_cast<std::uint64_t>(i) * 250);
+        }
+        done[static_cast<std::size_t>(i)] = engine.now();
+      });
+    }
+    engine.spawn("opener", [&] {
+      engine.wait_for(1'000);
+      open = true;
+      go.notify_all();
+      for (int k = 0; k < 40; ++k) engine.wait_for(700);
+      done[4] = engine.now();
+    });
+    engine.call_after(1'000, [] {});
+    engine.call_after(3'500, [] {});
+    engine.run();
+    return Outcome{engine.schedule_digest().value(), engine.dispatch_count(),
+                   done};
+  };
+  FirstItemHook first;
+  const Outcome in_place = run(nullptr);
+  const Outcome queued = run(&first);
+  EXPECT_EQ(in_place.digest, queued.digest);
+  EXPECT_EQ(in_place.dispatches, queued.dispatches);
+  EXPECT_EQ(in_place.done, queued.done);
 }
 
 TEST(EngineTest, CallAfterFiresAtRightTime) {
