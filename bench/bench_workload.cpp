@@ -5,7 +5,8 @@
 // utilization, and the schedule digest that pins the run bit-for-bit.
 //
 // Flags (besides bench_util.hpp's observability flags; any other argument,
-// and any value outside what is listed, is an error: exit 2, named):
+// any value outside what is listed, and --fault-plan other than none or
+// --sweep with --backend=shm are errors: exit 2, named):
 //   --scenario=kv|stencil|allreduce|all   what to run (default all)
 //   --backend=sim|shm                     data-path backend (default sim);
 //                                         shm runs each PE as a real forked
@@ -145,6 +146,19 @@ void parse_cli(int* argc, char** argv) {
     }
   }
   *argc = out;
+  // Combinations each value allows alone but the shm backend cannot run:
+  // it has no simulated fabric to inject faults into or to sweep over.
+  if (g_cli.backend == "shm" && g_cli.fault_plan != "none") {
+    std::cerr << argv[0] << ": --fault-plan=" << g_cli.fault_plan
+              << " requires --backend=sim (the shm backend has no simulated "
+                 "fabric to inject faults into)\n";
+    bad = true;
+  }
+  if (g_cli.backend == "shm" && g_cli.sweep) {
+    std::cerr << argv[0] << ": --sweep grids over topology x tuning x "
+                 "fault-plan, which only --backend=sim has\n";
+    bad = true;
+  }
   if (bad) std::exit(2);
 }
 
@@ -167,12 +181,8 @@ shmem::RuntimeOptions make_options(const std::string& backend, int hosts,
 
   if (backend == "shm") {
     // Real forked processes over the POSIX shared-memory segment: no
-    // simulated fabric, so the topology/tuning/fault knobs do not apply.
-    if (fault_plan != "none") {
-      throw std::invalid_argument(
-          "--fault-plan requires --backend=sim (the shm backend has no "
-          "simulated fabric to inject faults into)");
-    }
+    // simulated fabric, so the topology/tuning knobs do not apply (parse_cli
+    // rejects a fault plan).
     opts.backend = ntbshmem::backend::Kind::kShm;
     ObsCli::instance().apply(opts);
     return opts;
@@ -318,11 +328,6 @@ void run_single() {
 // Reduced-size grid over topology x tuning x fault-plan. Each cell's
 // artifact is self-describing, so the sweep is just many single runs.
 void run_sweep() {
-  if (g_cli.backend != "sim") {
-    throw std::invalid_argument(
-        "--sweep grids over topology x tuning x fault-plan, which only the "
-        "sim backend has; drop --backend=" + g_cli.backend);
-  }
   Cli small = g_cli;
   small.requests = std::min<std::uint64_t>(small.requests, 512);
   small.iterations = std::min(small.iterations, 8);

@@ -15,9 +15,11 @@
 #
 # Model mode regenerates BENCH_model.json from BUILD_DIR's benches. It holds
 # virtual-time outputs only, which are exact: the Fig. 8(d), Fig. 9 and
-# Fig. 10 tables as the benches print them, the A6 pipeline and A9 topology
-# ablation JSON, and the dispatches per request of CI's slo16.kv config.
-# CI's perf-ledger job regenerates it and fails on any difference.
+# Fig. 10 tables and the A7 fault table as the benches print them, the A6
+# pipeline and A9 topology ablation JSON, the dispatches per request of
+# CI's slo16.kv config, and the schedule digest and dispatch count of CI's
+# slo16drop KV config, which pin the fault path. CI's perf-ledger job
+# regenerates it and fails on any difference.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -42,9 +44,14 @@ model_ledger() {
     "$build/bench/bench_fig10_barrier" >fig10.txt
     "$build/bench/bench_ablation_pipeline" >/dev/null
     "$build/bench/bench_ablation_topology" >/dev/null
+    "$build/bench/bench_ablation_faults" >faults.txt
     # CI's workload-slo slo16 KV run (its other scenarios run separately).
     "$build/bench/bench_workload" --scenario=kv \
       --hosts=16 --requests=2048 --tuning=paper --out-prefix=slo16 >/dev/null
+    # CI's workload-slo doorbell-drop run: the fault path's schedule.
+    "$build/bench/bench_workload" --scenario=kv \
+      --hosts=16 --requests=1024 --fault-plan=drop \
+      --out-prefix=slo16drop >/dev/null
   )
   python3 - "$work" "$REPO_ROOT/BENCH_model.json" <<'EOF'
 import json, os, sys
@@ -74,17 +81,23 @@ def load(name):
 
 
 kv = load("slo16.kv.json")
+drop = load("slo16drop.kv.json")
 model = {
     "fig8d": tables("fig8.txt", "Fig 8(d)"),
     "fig9": tables("fig9.txt", "Fig 9"),
     "fig10": tables("fig10.txt", "Fig 10"),
     "a6_pipeline": load("bench_ablation_pipeline.json"),
+    "a7_faults": tables("faults.txt", "Ablation A7"),
     "a9_topology": load("bench_ablation_topology.json"),
     "slo16_kv": {
         "schedule_dispatches": kv["schedule_dispatches"],
         "requests_issued": kv["requests"]["issued"],
         "dispatches_per_request":
             kv["schedule_dispatches"] / kv["requests"]["issued"],
+    },
+    "slo16drop_kv": {
+        "schedule_digest": drop["schedule_digest"],
+        "schedule_dispatches": drop["schedule_dispatches"],
     },
 }
 with open(out, "w") as f:

@@ -628,9 +628,7 @@ std::uint64_t ShmChannel::atomic(shmem::AtomicOp op, std::uint64_t heap_offset,
 void ShmChannel::atomic_post(shmem::AtomicOp op, std::uint64_t heap_offset,
                              int target_pe, std::uint8_t width,
                              std::uint64_t operand1, int /*domain*/) {
-  if (op == shmem::AtomicOp::kFetch || op == shmem::AtomicOp::kFetchAdd ||
-      op == shmem::AtomicOp::kFetchInc ||
-      op == shmem::AtomicOp::kCompareSwap || op == shmem::AtomicOp::kSwap) {
+  if (shmem::is_fetching(op)) {
     throw std::invalid_argument("atomic_post requires a non-fetching op");
   }
   atomic(op, heap_offset, target_pe, width, operand1, 0);

@@ -18,13 +18,10 @@ InterruptController::InterruptController(sim::Engine& engine, std::string name,
     throw std::invalid_argument(name_ + ": need at least one vector");
   }
   handlers_.resize(static_cast<std::size_t>(num_vectors));
-  mask_flags_.assign(static_cast<std::size_t>(num_vectors), 0);
-  pending_flags_.assign(static_cast<std::size_t>(num_vectors), 0);
   if (obs::Hub* hub = engine.obs()) {
     obs::MetricsRegistry& reg = hub->metrics;
     obs_raised_ = reg.counter(name_ + ".raised");
     obs_delivered_ = reg.counter(name_ + ".delivered");
-    obs_masked_latched_ = reg.counter(name_ + ".masked_latched");
   }
 }
 
@@ -42,15 +39,6 @@ void InterruptController::register_handler(int vector, Handler handler) {
 void InterruptController::raise(int vector) {
   check_vector(vector);
   obs_raised_->inc();
-  if (mask_flags_[static_cast<std::size_t>(vector)] != 0) {
-    pending_flags_[static_cast<std::size_t>(vector)] = 1;
-    obs_masked_latched_->inc();
-    return;
-  }
-  deliver(vector);
-}
-
-void InterruptController::deliver(int vector) {
   sim::Dur extra = 0;
   if (sim::FaultPlan* plan = engine_.faults()) {
     // Delayed/coalesced vector: the MSI is held back, modelled as extra
@@ -63,25 +51,6 @@ void InterruptController::deliver(int vector) {
     obs_delivered_->inc();
     if (handler) handler(vector);
   });
-}
-
-void InterruptController::mask(int vector) {
-  check_vector(vector);
-  mask_flags_[static_cast<std::size_t>(vector)] = 1;
-}
-
-void InterruptController::unmask(int vector) {
-  check_vector(vector);
-  mask_flags_[static_cast<std::size_t>(vector)] = 0;
-  if (pending_flags_[static_cast<std::size_t>(vector)] != 0) {
-    pending_flags_[static_cast<std::size_t>(vector)] = 0;
-    deliver(vector);
-  }
-}
-
-bool InterruptController::pending(int vector) const {
-  check_vector(vector);
-  return pending_flags_[static_cast<std::size_t>(vector)] != 0;
 }
 
 }  // namespace ntbshmem::host

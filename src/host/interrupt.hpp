@@ -2,11 +2,9 @@
 //
 // NTB doorbell bits map to interrupt vectors. Raising a vector schedules
 // the registered handler after the configured ISR-entry latency (kernel
-// dispatch). Masked vectors latch as pending and fire on unmask — the
-// set/clear/mask semantics the PCIe NTB doorbell registers expose.
+// dispatch); each raise runs the handler once.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -37,33 +35,23 @@ class InterruptController {
   // Registers the handler for `vector` (replaces any previous handler).
   void register_handler(int vector, Handler handler);
 
-  // Raises `vector`: after isr_latency + dispatch_cost the handler runs in
-  // scheduler context (it must not block; notify an Event instead).
-  // Masked vectors latch and deliver on unmask. Callable from any context.
+  // Raises `vector`: after isr_latency + dispatch_cost (plus any delay the
+  // attached FaultPlan injects) the handler runs in scheduler context (it
+  // must not block; notify an Event instead). Callable from any context.
   void raise(int vector);
-
-  void mask(int vector);
-  void unmask(int vector);
-  bool pending(int vector) const;
 
  private:
   void check_vector(int vector) const;
-  void deliver(int vector);
 
   sim::Engine& engine_;
   std::string name_;
   sim::Dur isr_latency_;
   sim::Dur dispatch_cost_;
   std::vector<Handler> handlers_;
-  // Per-vector flags (not a 32-bit mask: a mesh host can carry hundreds
-  // of doorbell vectors).
-  std::vector<std::uint8_t> mask_flags_;
-  std::vector<std::uint8_t> pending_flags_;
 
   // Observability (null instruments without an attached hub).
   obs::Counter* obs_raised_ = obs::MetricsRegistry::null_counter();
   obs::Counter* obs_delivered_ = obs::MetricsRegistry::null_counter();
-  obs::Counter* obs_masked_latched_ = obs::MetricsRegistry::null_counter();
 };
 
 }  // namespace ntbshmem::host

@@ -17,7 +17,6 @@ NtbPort::NtbPort(sim::Engine& engine, host::Host& local, std::string name,
     obs_cat_dma_ = tracer_->category("dma");
     obs_cat_ctl_ = tracer_->category("ntb");
     obs_ev_dma_write_ = tracer_->event("dma_write");
-    obs_ev_dma_read_ = tracer_->event("dma_read");
     obs_ev_doorbell_ = tracer_->event("doorbell");
     obs_ev_dma_error_ = tracer_->event("dma_descriptor_error");
     obs::MetricsRegistry& reg = hub->metrics;
@@ -161,45 +160,6 @@ bool NtbPort::dma_write(int idx, std::uint64_t off,
   return true;
 }
 
-bool NtbPort::dma_read(int idx, std::uint64_t off, std::span<std::byte> dst) {
-  require_connected("dma_read");
-  const WindowTarget w = require_mapped(idx, "dma_read");
-  obs_dma_descriptors_->inc();
-  std::uint64_t span_id = 0;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    span_id = tracer_->next_async_id();
-    tracer_->async_begin(obs_track_, obs_cat_dma_, obs_ev_dma_read_,
-                         engine_.now(), span_id);
-  }
-  await_link_up();
-  engine_.wait_for(config_.dma_setup);
-  if (sim::FaultPlan* plan = engine_.faults()) {
-    if (plan->dma_descriptor_error(engine_.now(), name_)) {
-      dma_error_latched_ = true;
-      if (span_id != 0) {
-        tracer_->instant(obs_track_, obs_cat_dma_, obs_ev_dma_error_,
-                         engine_.now());
-        tracer_->async_end(obs_track_, obs_cat_dma_, obs_ev_dma_read_,
-                           engine_.now(), span_id);
-      }
-      return false;
-    }
-  }
-  await_link_up();
-  // Read completions flow from the peer back to us.
-  transfer_path(*w.peer_host, local_, link_->direction_from(pcie::opposite(end_)),
-                pcie::opposite(end_), dst.size(),
-                config_.dma_rate_Bps * config_.dma_read_factor);
-  auto src = w.peer_host->memory().bytes(w.region, off, dst.size());
-  std::memcpy(dst.data(), src.data(), dst.size());
-  obs_dma_sizes_->record(dst.size());
-  if (span_id != 0) {
-    tracer_->async_end(obs_track_, obs_cat_dma_, obs_ev_dma_read_,
-                       engine_.now(), span_id);
-  }
-  return true;
-}
-
 void NtbPort::clear_dma_error() {
   engine_.wait_for(config_.reg_write);
   dma_error_latched_ = false;
@@ -261,25 +221,15 @@ void NtbPort::post(int first, std::span<const std::uint32_t> regs,
     tracer_->instant(obs_track_, obs_cat_ctl_, obs_ev_doorbell_, engine_.now(),
                      static_cast<double>(doorbell));
   }
-  // A dropped ring is lost before the peer sees anything: no status bit,
-  // no latch, no interrupt. The write time was still spent.
+  // A dropped ring is lost before the peer sees anything: no latch, no
+  // interrupt. The write time was still spent.
   if (plan != nullptr && plan->drop_doorbell(engine_.now(), name_, doorbell)) {
     return;
   }
   peer_->receive_doorbell(doorbell);
 }
 
-std::uint32_t NtbPort::read_scratchpad(int idx) {
-  require_connected("read_scratchpad");
-  if (idx < 0 || idx >= kNumScratchpads) {
-    throw std::out_of_range(name_ + ": scratchpad index out of range");
-  }
-  engine_.wait_for(config_.reg_read);
-  return scratchpad_[static_cast<std::size_t>(idx)];
-}
-
 void NtbPort::receive_doorbell(int bit) {
-  db_status_ = static_cast<std::uint16_t>(db_status_ | (1u << bit));
   if ((latch_bits_ & (1u << bit)) != 0) {
     // Snapshot the header bank at doorbell-arrival time: with multiple
     // frame credits the sender may restage these registers before the
@@ -291,8 +241,8 @@ void NtbPort::receive_doorbell(int bit) {
     // and its data doorbell cannot steal the data frame's context.
     const bool takes_ctx = (ctx_bits_ & (1u << bit)) != 0;
     latched_frames_.push_back(LatchedFrame{
-        bit, scratchpad_, takes_ctx ? pending_ctx_ : obs::TraceCtx{},
-        engine_.now()});
+        bit, {scratchpad_, takes_ctx ? pending_ctx_ : obs::TraceCtx{},
+              engine_.now()}});
     if (takes_ctx) pending_ctx_ = obs::TraceCtx{};
   }
   local_.interrupts().raise(config_.vector_base + bit);
@@ -300,49 +250,21 @@ void NtbPort::receive_doorbell(int bit) {
 
 void NtbPort::stage_tx_ctx(const obs::TraceCtx& ctx) {
   require_connected("stage_tx_ctx");
-  // Like write_scratchpad, the staged value lands on the *peer* adapter —
-  // but out of band: no register-write charge, no fault sites, so the
-  // causal-off path stays bit-identical (see DESIGN.md §4h).
+  // Like a posted register write, the staged value lands on the *peer*
+  // adapter — but out of band: no register-write charge, no fault sites,
+  // so the causal-off path stays bit-identical (see DESIGN.md §4h).
   peer_->pending_ctx_ = ctx;
 }
 
-std::array<std::uint32_t, kNumScratchpads> NtbPort::pop_latched_frame(
-    std::uint16_t accept_mask) {
-  return pop_latched_frame_info(accept_mask).regs;
-}
-
-NtbPort::PoppedFrame NtbPort::pop_latched_frame_info(
-    std::uint16_t accept_mask) {
+NtbPort::PoppedFrame NtbPort::pop_latched_frame(std::uint16_t accept_mask) {
   for (auto it = latched_frames_.begin(); it != latched_frames_.end(); ++it) {
     if ((accept_mask & (1u << it->bit)) == 0) continue;
-    PoppedFrame popped{it->regs, it->ctx, it->latched_at};
+    PoppedFrame popped = it->frame;
     latched_frames_.erase(it);
     return popped;
   }
   throw std::logic_error(name_ +
                          ": pop_latched_frame found no matching snapshot");
-}
-
-void NtbPort::clear_doorbell(int bit) {
-  if (bit < 0 || bit >= kNumDoorbells) {
-    throw std::out_of_range(name_ + ": doorbell bit out of range");
-  }
-  engine_.wait_for(config_.reg_write);
-  db_status_ = static_cast<std::uint16_t>(db_status_ & ~(1u << bit));
-}
-
-void NtbPort::mask_doorbell(int bit) {
-  if (bit < 0 || bit >= kNumDoorbells) {
-    throw std::out_of_range(name_ + ": doorbell bit out of range");
-  }
-  local_.interrupts().mask(config_.vector_base + bit);
-}
-
-void NtbPort::unmask_doorbell(int bit) {
-  if (bit < 0 || bit >= kNumDoorbells) {
-    throw std::out_of_range(name_ + ": doorbell bit out of range");
-  }
-  local_.interrupts().unmask(config_.vector_base + bit);
 }
 
 }  // namespace ntbshmem::ntb

@@ -1,16 +1,17 @@
 // PCIe Non-Transparent Bridge port model (PLX PEX 8749/8733 class).
 //
 // Two NtbPorts joined by a pcie::Link form one NTB connection between two
-// hosts. Each port exposes, as the paper's Fig. 1/2 describe:
+// hosts. Each port models the adapter surface the OpenSHMEM protocol
+// drives, as the paper's Fig. 1/2 describe:
 //
 //   * BAR memory windows whose translation registers map a local aperture
-//     onto a region of the *peer* host's memory,
+//     onto a region of the *peer* host's memory, written by a
+//     descriptor-based DMA engine or by PIO (CPU stores);
 //   * a ScratchPad bank (8 x 32-bit registers per adapter; writes land in
-//     the peer adapter's bank) for small synchronous information exchange,
-//   * a 16-bit Doorbell register: setting a bit raises an interrupt vector
-//     on the peer host (set / clear / mask semantics),
-//   * a descriptor-based DMA engine and a PIO (CPU memcpy) path through the
-//     mapped windows.
+//     the peer adapter's bank) for small synchronous information exchange;
+//   * a 16-bit Doorbell register: ringing a bit raises the peer's interrupt
+//     vector, and latched bits snapshot the bank for the peer's service
+//     thread.
 //
 // Timing: every data-movement and register method blocks the calling
 // simulated process for the modeled duration; data becomes visible in the
@@ -61,7 +62,6 @@ struct WindowTarget {
 
 struct PortConfig {
   double dma_rate_Bps = 3.0e9;     // engine peak (per-link override point)
-  double dma_read_factor = 0.6;    // non-posted read penalty for dma_read
   double pio_write_Bps = 125e6;
   sim::Dur dma_setup = 3'000;      // descriptor program + completion poll
   sim::Dur reg_write = 400;        // posted 32-bit register write
@@ -114,20 +114,17 @@ class NtbPort {
   // re-program the descriptor (transport retry) or fail fast.
   bool dma_write(int idx, std::uint64_t off, std::span<const std::byte> src,
                  bool descriptor_prefetched = false);
-  // DMA read: peer memory -> local memory (non-posted, slower). Same error
-  // contract as dma_write.
-  bool dma_read(int idx, std::uint64_t off, std::span<std::byte> dst);
   // Clears the latched DMA error status (sticky until cleared; one reg
   // write).
   void clear_dma_error();
   // PIO path: CPU stores through the mapped window.
   void pio_write(int idx, std::uint64_t off, std::span<const std::byte> src);
 
-  // ---- ScratchPad (blocking, process context) -------------------------------
+  // ---- ScratchPad and doorbell (blocking, process context) ------------------
   // Each adapter carries its own 8-register bank (back-to-back PLX
-  // adapters): writing lands in the PEER's bank, reading returns the local
-  // bank — so the two directions of a link never clobber each other's
-  // in-flight headers.
+  // adapters): writing lands in the PEER's bank, so the two directions of a
+  // link never clobber each other's in-flight headers. The receiving side
+  // reads the bank through the frame latch below.
   //
   // Posted burst: writes `regs` into the peer's registers first..first+n-1
   // and then, unless `doorbell` is kNoDoorbell, rings that doorbell bit —
@@ -141,10 +138,9 @@ class NtbPort {
   // for retraining under retry_on_link_down); a failed burst lands nothing.
   void post(int first, std::span<const std::uint32_t> regs,
             int doorbell = kNoDoorbell);
-  void write_scratchpad(int idx, std::uint32_t value) {
-    post(idx, std::span<const std::uint32_t>(&value, 1));
-  }
-  std::uint32_t read_scratchpad(int idx);
+  // Rings doorbell bit `bit` alone: raises the peer's interrupt vector
+  // (vector_base + bit). Blocking (one register write).
+  void ring_doorbell(int bit) { post(0, {}, bit); }
 
   // ---- Frame latch (double-buffered ScratchPad extension) -------------------
   // When a doorbell bit in `mask` arrives, the adapter snapshots the local
@@ -153,65 +149,50 @@ class NtbPort {
   // credit-based frame pipelining: with one frame in flight the latched
   // snapshot always equals the live bank, so enabling it is behaviour- and
   // timing-neutral for the paper-faithful handshake. Snapshot reads are
-  // charged by the caller (same register-read cost as the live bank).
+  // charged by the caller (PortConfig::reg_read per register).
   void set_latch_bits(std::uint16_t mask) { latch_bits_ = mask; }
-  bool has_latched_frame() const { return !latched_frames_.empty(); }
-  // Pops the oldest snapshot whose doorbell bit is in `accept_mask`
-  // (default: any). Snapshots are consumed in arrival order per bit class,
-  // so frame identity is carried by the latch FIFO, not by which ISR pops
-  // first — delayed interrupt vectors (fault injection) cannot cross a data
-  // snapshot with an ack snapshot.
-  std::array<std::uint32_t, kNumScratchpads> pop_latched_frame(
-      std::uint16_t accept_mask = 0xffff);
 
   // ---- Causal-trace sidecar -------------------------------------------------
   // Stages the causal context that rides with the *next* frame the sender
   // rings into this port's peer. Models two extra ScratchPad registers
   // (see DESIGN.md §4h) but is carried out of band so the disabled path
-  // stays byte- and timing-identical: staging costs nothing, the context is
-  // snapshotted into the latch FIFO together with the registers, and a pop
-  // variant returns it with the latch-arrival time (for IRQ-delay
-  // attribution). The context is consumed by the next latch, so control
+  // stays byte- and timing-identical: staging costs nothing, and the
+  // context is snapshotted into the latch FIFO together with the
+  // registers. The context is consumed by the next latch, so control
   // doorbells that stage nothing latch a null context.
   void stage_tx_ctx(const obs::TraceCtx& ctx);
   // Doorbell bits that consume the staged context when they latch (the
   // data-frame bits). Other latched bits (e.g. ACK) snapshot a null
   // context and leave the staged one for the data doorbell it belongs to.
   void set_ctx_bits(std::uint16_t mask) { ctx_bits_ = mask; }
+
+  // One latched frame: the bank snapshot, the causal context it carried
+  // and the doorbell's arrival time (for IRQ-delay attribution).
   struct PoppedFrame {
     std::array<std::uint32_t, kNumScratchpads> regs{};
-    obs::TraceCtx ctx;
-    sim::Time latched_at = 0;
+    obs::TraceCtx ctx;         // staged by the sender's stage_tx_ctx
+    sim::Time latched_at = 0;  // doorbell arrival
   };
-  PoppedFrame pop_latched_frame_info(std::uint16_t accept_mask = 0xffff);
-
-  // ---- Doorbells ------------------------------------------------------------
-  // Sets bit `bit` in the peer's doorbell status and raises the peer's
-  // interrupt vector (vector_base + bit). Blocking (one register write).
-  void ring_doorbell(int bit) { post(0, {}, bit); }
-  // Local latched doorbell status; reading is free (tests/ISRs), clearing
-  // charges a register write.
-  std::uint16_t doorbell_status() const { return db_status_; }
-  void clear_doorbell(int bit);
-  void mask_doorbell(int bit);
-  void unmask_doorbell(int bit);
-
-  double dma_rate() const { return config_.dma_rate_Bps; }
-  void set_dma_rate(double rate) { config_.dma_rate_Bps = rate; }
+  // Pops the oldest snapshot whose doorbell bit is in `accept_mask`
+  // (default: any); throws std::logic_error when there is none. Snapshots
+  // are consumed in arrival order per bit class, so frame identity is
+  // carried by the latch FIFO, not by which ISR pops first — delayed
+  // interrupt vectors (fault injection) cannot cross a data snapshot with
+  // an ack snapshot.
+  PoppedFrame pop_latched_frame(std::uint16_t accept_mask = 0xffff);
 
   // FNV hash of the port's protocol-visible register state: ScratchPad
-  // bank, doorbell status, latched-frame FIFO (bit + snapshot), DMA error
-  // latch. Model-checker introspection (DESIGN.md §4i); excludes timing and
+  // bank, DMA error latch, latched-frame FIFO (bit + snapshot).
+  // Model-checker introspection (DESIGN.md §4i); excludes timing and
   // observability state on purpose.
   std::uint64_t state_hash() const {
     std::uint64_t h = fnv::kOffset;
     for (const std::uint32_t r : scratchpad_) h = fnv::fold_u64(h, r);
-    h = fnv::fold_u64(h, db_status_);
     h = fnv::fold_u64(h, dma_error_latched_ ? 1u : 0u);
     h = fnv::fold_u64(h, latched_frames_.size());
     for (const LatchedFrame& f : latched_frames_) {
       h = fnv::fold_u64(h, static_cast<std::uint64_t>(f.bit));
-      for (const std::uint32_t r : f.regs) h = fnv::fold_u64(h, r);
+      for (const std::uint32_t r : f.frame.regs) h = fnv::fold_u64(h, r);
     }
     return h;
   }
@@ -237,13 +218,10 @@ class NtbPort {
   pcie::End end_ = pcie::End::kA;
   std::array<WindowTarget, kNumWindows> windows_{};
   std::array<std::uint32_t, kNumScratchpads> scratchpad_{};
-  std::uint16_t db_status_ = 0;
   std::uint16_t latch_bits_ = 0;
   struct LatchedFrame {
     int bit = 0;  // doorbell bit that triggered the snapshot
-    std::array<std::uint32_t, kNumScratchpads> regs{};
-    obs::TraceCtx ctx;         // staged by the sender's stage_tx_ctx
-    sim::Time latched_at = 0;  // doorbell arrival (IRQ-delay attribution)
+    PoppedFrame frame;
   };
   std::deque<LatchedFrame> latched_frames_;
   obs::TraceCtx pending_ctx_;      // staged for the next latched data frame
@@ -258,7 +236,6 @@ class NtbPort {
   obs::CategoryId obs_cat_dma_ = 0;
   obs::CategoryId obs_cat_ctl_ = 0;
   obs::EventId obs_ev_dma_write_ = 0;
-  obs::EventId obs_ev_dma_read_ = 0;
   obs::EventId obs_ev_doorbell_ = 0;
   obs::EventId obs_ev_dma_error_ = 0;
   obs::Counter* obs_doorbells_ = obs::MetricsRegistry::null_counter();

@@ -46,18 +46,8 @@ void put_bytes(Context& ctx, std::uint64_t heap_off, const void* src,
 
 // ---- Topology-aware relay trees ---------------------------------------------
 //
-// Gated exactly like the transport's tree barrier: opt-in via
-// TransportTuning::topology_collectives on ring-like fabrics (default off
-// keeps the paper's linear root-to-member loops bit-identical), always on
-// elsewhere — the hop-ordered tree is the point of a richer topology.
-bool use_tree_collectives(Context& ctx) {
-  Runtime& rt = ctx.runtime();
-  // The shm backend has no routing graph to build a relay tree over; its
-  // flat segment makes the linear loops the right shape anyway.
-  if (!rt.has_fabric()) return false;
-  return rt.options().tuning.topology_collectives ||
-         !rt.fabric().topology().ring_like();
-}
+// Used when Runtime::tree_collectives() holds, the same gate as the
+// transport's tree barrier.
 
 // Set indices ordered root-first, then by (routing hops from the root's
 // host, set index). The binary-heap rule over this order — parent of
@@ -226,7 +216,7 @@ void broadcast(Context& ctx, void* target, const void* source,
     throw std::invalid_argument("broadcast: calling PE not in active set");
   }
   if (set.size == 1) return;
-  if (use_tree_collectives(ctx)) {
+  if (ctx.runtime().tree_collectives()) {
     broadcast_tree(ctx, target, source, nbytes, root_idx, set);
     return;
   }
@@ -346,7 +336,7 @@ void reduce(Context& ctx, void* target, const void* source, std::size_t count,
     std::memmove(dst_bytes, src_bytes, count * elem_size);
     return;
   }
-  if (use_tree_collectives(ctx)) {
+  if (ctx.runtime().tree_collectives()) {
     reduce_tree(ctx, target, source, count, elem_size, set, combine);
     return;
   }

@@ -127,6 +127,14 @@ enum class AtomicOp : std::uint8_t {
   kXor = 11,
 };
 
+// Ops that return the target's previous value; atomic_post (fire and
+// forget) rejects them.
+constexpr bool is_fetching(AtomicOp op) {
+  return op == AtomicOp::kFetch || op == AtomicOp::kFetchAdd ||
+         op == AtomicOp::kFetchInc || op == AtomicOp::kCompareSwap ||
+         op == AtomicOp::kSwap;
+}
+
 // Fixed-size message header serialized at offset 0 of every staged/chunked
 // logical message; payload follows immediately.
 struct MessageHeader {

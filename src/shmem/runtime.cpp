@@ -411,6 +411,11 @@ fabric::Fabric& Runtime::fabric() {
   return *fabric_;
 }
 
+bool Runtime::tree_collectives() const {
+  return fabric_ != nullptr && (options_.tuning.topology_collectives ||
+                                !fabric_->topology().ring_like());
+}
+
 Transport& Runtime::host_transport(int host) {
   if (transports_.empty()) {
     throw std::logic_error(

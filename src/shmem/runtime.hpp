@@ -165,6 +165,13 @@ class Runtime {
   // (which has no simulated fabric or NTB transports).
   fabric::Fabric& fabric();
   Transport& host_transport(int host);
+  // True when the barrier and the collectives run over relay trees built
+  // from the routing graph instead of the paper's Fig. 6 doorbell
+  // circulation and linear root-to-member loops: always off a ring, where
+  // the doorbell walk would not terminate, and on a ring-like fabric when
+  // TransportTuning::topology_collectives opts in. False without a fabric
+  // (the shm backend has no routing graph).
+  bool tree_collectives() const;
   Context& context(int pe) { return *contexts_.at(static_cast<std::size_t>(pe)); }
   int npes() const { return options_.npes; }
   int num_hosts() const { return options_.num_hosts(); }

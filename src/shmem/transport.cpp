@@ -308,7 +308,7 @@ void Transport::start_services() {
       irq.register_handler(base + kDbNak, [this, p](int) { on_nak(p); });
     }
   }
-  if (!use_tree_barrier()) {
+  if (!runtime_.tree_collectives()) {
     // Ring protocol: barrier signals circulate rightward and therefore
     // arrive on the left adapter (Fig. 6). Like the data doorbells, they
     // are handled by the service thread (the Fig. 5 design), so barrier
@@ -362,7 +362,7 @@ void Transport::on_rx_token(int from, RxTokenKind kind) {
     // ISR context: consume the oldest *data* snapshot the adapter latched
     // (free; the service thread charges the reads). The accept mask keeps a
     // delay-reordered ack ISR from stealing a data snapshot and vice versa.
-    const ntb::NtbPort::PoppedFrame popped = port(from).pop_latched_frame_info(
+    const ntb::NtbPort::PoppedFrame popped = port(from).pop_latched_frame(
         static_cast<std::uint16_t>((1u << kDbDmaPut) | (1u << kDbDmaGet)));
     token.regs = popped.regs;
     token.ctx = popped.ctx;
@@ -393,8 +393,8 @@ void Transport::on_ack(int p) {
   // Reliability: the adapter latched our bank when the ack doorbell rang;
   // reg 7 of the snapshot carries the redundantly encoded cumulative
   // sequence number.
-  const auto regs = port(p).pop_latched_frame(
-      static_cast<std::uint16_t>(1u << kDbAck));
+  const auto regs =
+      port(p).pop_latched_frame(static_cast<std::uint16_t>(1u << kDbAck)).regs;
   std::uint8_t acked = 0;
   if (!unpack_ack_word(regs[kAckReg], &acked)) {
     // Corrupted ack word: ignore it; the retransmit timeout recovers and
@@ -1012,6 +1012,11 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
                             int target_pe, std::uint8_t width,
                             std::uint64_t operand1, int origin_pe,
                             int domain) {
+  // Rejected before any side effect, as the shm backend does: a misuse
+  // costs no time and is never counted as issued.
+  if (is_fetching(op)) {
+    throw std::invalid_argument("atomic_post requires a non-fetching op");
+  }
   sim::Engine& engine = runtime_.engine();
   const Step root = Step::op(*this, origin_pe, obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
@@ -1019,11 +1024,6 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
               static_cast<std::uint32_t>(op));
   engine.wait_for(timing().sw_overhead);
   ++stats_.atomics_issued;
-  if (op == AtomicOp::kFetch || op == AtomicOp::kFetchAdd ||
-      op == AtomicOp::kFetchInc || op == AtomicOp::kCompareSwap ||
-      op == AtomicOp::kSwap) {
-    throw std::invalid_argument("atomic_post requires a non-fetching op");
-  }
   if (is_resident(target_pe)) {
     apply_atomic(op, target_pe, heap_offset, width, operand1, 0);
     heap_event_->notify_all();
@@ -1108,13 +1108,6 @@ void Transport::wait_heap_change() { heap_event_->wait(); }
 
 // ---- barrier ------------------------------------------------------------------
 
-bool Transport::use_tree_barrier() const {
-  // The doorbell circulation is only defined on a ring-like fabric (the
-  // rightward walk from host 0 must visit everyone and return); non-ring
-  // fabrics always run the token tree, ring fabrics may opt in.
-  return tuning().topology_collectives || !fabric().topology().ring_like();
-}
-
 void Transport::barrier(int origin_pe) {
   // The caller's quiet() semantics are per-PE; PE-level code (Context)
   // drains its own domains before calling. Here we only run the
@@ -1149,7 +1142,7 @@ void Transport::barrier(int origin_pe) {
   while (local_barrier_arrived_ < k) local_barrier_event_->wait();
   local_barrier_arrived_ -= k;
 
-  if (use_tree_barrier()) {
+  if (runtime_.tree_collectives()) {
     barrier_leader_tree();
   } else {
     barrier_leader_ring();

@@ -475,10 +475,7 @@ class Transport {
   // Completion of an op id tracked via track_delivery (DeliveryAck path).
   void note_delivery_completed_op(std::uint32_t op_id);
 
-  // ---- barrier protocols ----
-  // Tree barrier is mandatory off-ring (the doorbell circulation assumes a
-  // ring) and opt-in on ring-like fabrics via topology_collectives.
-  bool use_tree_barrier() const;
+  // ---- barrier protocols (Runtime::tree_collectives() picks one) ----
   // Inter-host half of the barrier, run by the host leader PE only.
   void barrier_leader_ring();   // Fig. 6 doorbell circulation
   // kBarrierToken tree rooted at host 0; tokens parent under the leader's

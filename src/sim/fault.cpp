@@ -100,23 +100,23 @@ void FaultPlan::note(Time now, const std::string& message) {
   tracer_->instant_detail(track, cat, ev, now, message);
 }
 
+bool FaultPlan::decide(Site site, const std::string& key, double prob) {
+  if (hook_ != nullptr) return explore_decision(site, key);
+  return take_one_shot(site, key) || roll(site, key, prob);
+}
+
 bool FaultPlan::drop_doorbell(Time now, const std::string& port, int bit) {
   const bool eligible = (spec_.doorbell_drop_mask & (1u << bit)) != 0;
-  if (hook_ != nullptr) {
-    // Mask check FIRST: a masked bit (barrier circulation) must not become
-    // a branch point — dropping it would be an unrecoverable false deadlock.
-    if (!eligible) return false;
-  } else if (one_shots_.empty() && (!eligible || spec_.doorbell_drop <= 0.0)) {
+  const double prob = eligible ? spec_.doorbell_drop : 0.0;
+  // With a hook the mask check comes FIRST: a masked bit (barrier
+  // circulation) must not become a branch point — dropping it would be an
+  // unrecoverable false deadlock. Without one, an armed one-shot fires even
+  // on a masked bit.
+  if (hook_ != nullptr ? !eligible : (one_shots_.empty() && prob <= 0.0)) {
     return false;  // nothing can fire: the key is never built
   }
-  // Without a hook an armed one-shot fires even on a masked bit.
   const std::string key = port + ":" + std::to_string(bit);
-  if (hook_ != nullptr) {
-    if (!explore_decision(Site::kDoorbell, key)) return false;
-  } else if (!take_one_shot(Site::kDoorbell, key) &&
-             (!eligible || !roll(Site::kDoorbell, key, spec_.doorbell_drop))) {
-    return false;
-  }
+  if (!decide(Site::kDoorbell, key, prob)) return false;
   ++stats_.doorbells_dropped;
   note(now, "doorbell drop " + key);
   return true;
@@ -124,12 +124,7 @@ bool FaultPlan::drop_doorbell(Time now, const std::string& port, int bit) {
 
 bool FaultPlan::corrupt_scratchpad(Time now, const std::string& port, int reg,
                                    std::uint32_t* xor_mask) {
-  if (hook_ != nullptr) {
-    if (!explore_decision(Site::kScratchpad, port)) return false;
-  } else if (!take_one_shot(Site::kScratchpad, port) &&
-             !roll(Site::kScratchpad, port, spec_.scratchpad_corrupt)) {
-    return false;
-  }
+  if (!decide(Site::kScratchpad, port, spec_.scratchpad_corrupt)) return false;
   *xor_mask = draw_mask(Site::kScratchpad, port);
   ++stats_.scratchpads_corrupted;
   note(now, "scratchpad corrupt " + port + " reg" + std::to_string(reg));
@@ -137,12 +132,7 @@ bool FaultPlan::corrupt_scratchpad(Time now, const std::string& port, int reg,
 }
 
 bool FaultPlan::dma_descriptor_error(Time now, const std::string& port) {
-  if (hook_ != nullptr) {
-    if (!explore_decision(Site::kDma, port)) return false;
-  } else if (!take_one_shot(Site::kDma, port) &&
-             !roll(Site::kDma, port, spec_.dma_error)) {
-    return false;
-  }
+  if (!decide(Site::kDma, port, spec_.dma_error)) return false;
   ++stats_.dma_errors;
   note(now, "dma descriptor error " + port);
   return true;
@@ -154,23 +144,15 @@ Dur FaultPlan::tlp_replay_penalty(Time now, const std::string& wire,
   const std::uint64_t payload = max_payload > 0 ? max_payload : 1;
   const std::uint64_t n_tlps = bytes == 0 ? 1 : (bytes + payload - 1) / payload;
   Dur penalty = 0;
-  if (hook_ != nullptr) {
-    // Explore mode: one branch per transfer (drop-and-replay or clean);
-    // the drop/corrupt distinction only differs in trace wording.
-    if (explore_decision(Site::kTlp, wire)) {
-      penalty = spec_.tlp_replay_ns;
-      ++stats_.tlp_replays;
-      note(now, "tlp drop replay " + wire);
-    }
-    return penalty;
-  }
-  if (take_one_shot(Site::kTlp, wire) ||
-      roll(Site::kTlp, wire, per_transfer_prob(spec_.tlp_drop, n_tlps))) {
+  if (decide(Site::kTlp, wire, per_transfer_prob(spec_.tlp_drop, n_tlps))) {
     penalty += spec_.tlp_replay_ns;
     ++stats_.tlp_replays;
     note(now, "tlp drop replay " + wire);
   }
-  if (roll(Site::kTlp, wire, per_transfer_prob(spec_.tlp_corrupt, n_tlps))) {
+  // Explore mode branches once per transfer (drop-and-replay or clean):
+  // the drop/corrupt distinction only differs in trace wording.
+  if (hook_ == nullptr &&
+      roll(Site::kTlp, wire, per_transfer_prob(spec_.tlp_corrupt, n_tlps))) {
     penalty += spec_.tlp_replay_ns;
     ++stats_.tlp_replays;
     note(now, "tlp lcrc replay " + wire);
@@ -180,12 +162,7 @@ Dur FaultPlan::tlp_replay_penalty(Time now, const std::string& wire,
 
 Dur FaultPlan::irq_delivery_delay(Time now, const std::string& controller,
                                   int vector) {
-  if (hook_ != nullptr) {
-    if (!explore_decision(Site::kIrq, controller)) return 0;
-  } else if (!take_one_shot(Site::kIrq, controller) &&
-             !roll(Site::kIrq, controller, spec_.irq_delay)) {
-    return 0;
-  }
+  if (!decide(Site::kIrq, controller, spec_.irq_delay)) return 0;
   ++stats_.irq_delays;
   note(now, "irq delay " + controller + " vec" + std::to_string(vector));
   return spec_.irq_delay_ns;

@@ -159,6 +159,9 @@ class FaultPlan {
   // out or the fire budget is spent; otherwise whatever the hook chooses
   // (a firing consumes one budget unit).
   bool explore_decision(Site site, const std::string& key);
+  // The decision ladder every site shares: the hook in explore mode,
+  // otherwise an armed one-shot, otherwise a roll at `prob`.
+  bool decide(Site site, const std::string& key, double prob);
   bool take_one_shot(Site site, const std::string& key);
   std::uint64_t& stream(Site site, const std::string& key);
   std::uint32_t draw_mask(Site site, const std::string& key);

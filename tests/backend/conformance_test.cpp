@@ -15,11 +15,14 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "backend/backend.hpp"
 #include "backend/kind.hpp"
 #include "shmem/api.hpp"
 #include "shmem/runtime.hpp"
@@ -243,6 +246,68 @@ TEST(BackendConformance, AtomicsConserveAndAgree) {
     shmem_barrier_all();
     shmem_free(token);
     shmem_free(counter);
+    shmem_finalize();
+  });
+}
+
+TEST(BackendConformance, AtomicPostRejectsFetchingOps) {
+  expect_backends_agree(kNpes, [] {
+    shmem_init();
+    Context& ctx = *Runtime::current();
+    const int me = shmem_my_pe();
+    const int n = shmem_n_pes();
+    const int right = (me + 1) % n;
+    // All 11 ops, posted with operand kArg onto a word holding kInit: the
+    // five fetching ones must be rejected and leave it alone.
+    constexpr std::uint64_t kInit = 0xf0f0;
+    constexpr std::uint64_t kArg = 0x0ff5;
+    struct Case {
+      AtomicOp op;
+      bool fetching;
+      std::uint64_t want;
+    };
+    constexpr Case kCases[] = {
+        {AtomicOp::kAdd, false, kInit + kArg},
+        {AtomicOp::kFetchAdd, true, kInit},
+        {AtomicOp::kInc, false, kInit + 1},
+        {AtomicOp::kFetchInc, true, kInit},
+        {AtomicOp::kCompareSwap, true, kInit},
+        {AtomicOp::kSwap, true, kInit},
+        {AtomicOp::kFetch, true, kInit},
+        {AtomicOp::kSet, false, kArg},
+        {AtomicOp::kAnd, false, kInit & kArg},
+        {AtomicOp::kOr, false, kInit | kArg},
+        {AtomicOp::kXor, false, kInit ^ kArg},
+    };
+    constexpr std::size_t kNumOps = std::size(kCases);
+
+    // One word per op; each PE posts every op into its right neighbour's.
+    auto* words = static_cast<std::uint64_t*>(
+        shmem_malloc(kNumOps * sizeof(std::uint64_t)));
+    for (std::size_t i = 0; i < kNumOps; ++i) words[i] = kInit;
+    shmem_barrier_all();
+
+    std::uint64_t h = kFnvSeed;
+    for (std::size_t i = 0; i < kNumOps; ++i) {
+      bool rejected = false;
+      try {
+        ctx.chan().atomic_post(kCases[i].op, ctx.symmetric_offset(&words[i]),
+                               right, 8, kArg, ctx.default_domain());
+      } catch (const std::invalid_argument&) {
+        rejected = true;
+      }
+      if (rejected != kCases[i].fetching) h = 0;
+    }
+    ctx.quiet();
+    shmem_barrier_all();
+
+    h = fnv1a(h, words, kNumOps * sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < kNumOps; ++i) {
+      if (words[i] != kCases[i].want) h = 0;
+    }
+    publish_hash(h);
+    shmem_barrier_all();
+    shmem_free(words);
     shmem_finalize();
   });
 }

@@ -89,11 +89,11 @@ TEST(FabricTest, PerLinkDmaRateSpreadApplied) {
   FabricConfig cfg = small_config(3);
   cfg.link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
   Fabric ring(engine, cfg);
-  EXPECT_DOUBLE_EQ(ring.right_port(0).dma_rate(), 3.0e9);
-  EXPECT_DOUBLE_EQ(ring.right_port(1).dma_rate(), 2.6e9);
-  EXPECT_DOUBLE_EQ(ring.right_port(2).dma_rate(), 2.8e9);
+  EXPECT_DOUBLE_EQ(ring.right_port(0).config().dma_rate_Bps, 3.0e9);
+  EXPECT_DOUBLE_EQ(ring.right_port(1).config().dma_rate_Bps, 2.6e9);
+  EXPECT_DOUBLE_EQ(ring.right_port(2).config().dma_rate_Bps, 2.8e9);
   // Both ends of a link share its rate.
-  EXPECT_DOUBLE_EQ(ring.left_port(1).dma_rate(), 3.0e9);
+  EXPECT_DOUBLE_EQ(ring.left_port(1).config().dma_rate_Bps, 3.0e9);
 }
 
 TEST(FabricTest, DataMovesBetweenNeighborsThroughWindows) {

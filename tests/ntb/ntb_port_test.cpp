@@ -1,6 +1,6 @@
-// NTB port model: window translation, DMA/PIO data movement and timing,
-// scratchpad visibility, doorbell interrupt semantics, posted register
-// bursts.
+// NTB port model through the surface the transport drives: window
+// translation, DMA/PIO writes and their timing, posted register bursts,
+// doorbell interrupts and the frame latch's bank snapshots.
 #include "ntb/ntb_port.hpp"
 
 #include <gtest/gtest.h>
@@ -62,14 +62,19 @@ class NtbPairFixture : public ::testing::Test {
 TEST_F(NtbPairFixture, ConnectWiresPeersAndSharedScratchpad) {
   EXPECT_EQ(&port_a_->peer(), port_b_.get());
   EXPECT_EQ(&port_b_->peer(), port_a_.get());
+  port_a_->set_latch_bits(1u << 0);
+  port_b_->set_latch_bits(1u << 0);
+  const std::uint32_t to_b = 0xdeadbeef;
+  const std::uint32_t to_a = 42;
   engine_.spawn("p", [&] {
-    port_a_->write_scratchpad(0, 0xdeadbeef);
-    EXPECT_EQ(port_b_->read_scratchpad(0), 0xdeadbeefu);
-    // The bank is shared: B can overwrite and A sees it.
-    port_b_->write_scratchpad(0, 42);
-    EXPECT_EQ(port_a_->read_scratchpad(0), 42u);
+    // Each side's write lands in its peer's bank, which the doorbell that
+    // ends the burst snapshots.
+    port_a_->post(0, std::span<const std::uint32_t>(&to_b, 1), 0);
+    port_b_->post(0, std::span<const std::uint32_t>(&to_a, 1), 0);
   });
   engine_.run();
+  EXPECT_EQ(port_b_->pop_latched_frame().regs[0], 0xdeadbeefu);
+  EXPECT_EQ(port_a_->pop_latched_frame().regs[0], 42u);
 }
 
 TEST_F(NtbPairFixture, DmaWriteCopiesDataIntoPeerRegion) {
@@ -143,30 +148,6 @@ TEST_F(NtbPairFixture, PioWriteIsMuchSlowerThanDma) {
               10'000.0);
 }
 
-TEST_F(NtbPairFixture, DmaReadPullsFromPeerSlower) {
-  const auto region = host_b_->memory().allocate(4096);
-  port_a_->program_window(kRawWindow, region);
-  const auto data = pattern(2048, 7);
-  {
-    auto dst = host_b_->memory().bytes(region, 0, data.size());
-    std::memcpy(dst.data(), data.data(), data.size());
-  }
-  std::vector<std::byte> got(2048);
-  sim::Time write_time = -1;
-  sim::Time read_time = -1;
-  engine_.spawn("p", [&] {
-    sim::Time start = engine_.now();
-    port_a_->dma_write(kRawWindow, 0, data);
-    write_time = engine_.now() - start;
-    start = engine_.now();
-    port_a_->dma_read(kRawWindow, 0, got);
-    read_time = engine_.now() - start;
-  });
-  engine_.run();
-  EXPECT_EQ(std::memcmp(got.data(), data.data(), data.size()), 0);
-  EXPECT_GT(read_time, write_time);  // non-posted read penalty
-}
-
 TEST_F(NtbPairFixture, UnmappedWindowThrows) {
   const auto data = pattern(64);
   engine_.spawn("p", [&] {
@@ -202,44 +183,21 @@ TEST_F(NtbPairFixture, DoorbellRaisesPeerVectorWithBase) {
   // reg write 400ns + 15us delivery + 5us dispatch.
   EXPECT_EQ(fired, 400 + sim::usec(20));
   EXPECT_EQ(fired_vector, 21);
-  EXPECT_TRUE(port_b_->doorbell_status() & (1u << 5));
-}
-
-TEST_F(NtbPairFixture, DoorbellClearResetsStatus) {
-  engine_.spawn("p", [&] {
-    port_a_->ring_doorbell(2);
-    engine_.wait_for(sim::usec(50));
-    EXPECT_TRUE(port_b_->doorbell_status() & (1u << 2));
-    port_b_->clear_doorbell(2);
-    EXPECT_FALSE(port_b_->doorbell_status() & (1u << 2));
-  });
-  engine_.run();
-}
-
-TEST_F(NtbPairFixture, MaskedDoorbellLatchesInterrupt) {
-  int fires = 0;
-  host_b_->interrupts().register_handler(16 + 1, [&](int) { ++fires; });
-  engine_.spawn("p", [&] {
-    port_b_->mask_doorbell(1);
-    port_a_->ring_doorbell(1);
-    engine_.wait_for(sim::usec(100));
-    EXPECT_EQ(fires, 0);
-    EXPECT_TRUE(port_b_->doorbell_status() & (1u << 1)) << "status latches";
-    port_b_->unmask_doorbell(1);
-    engine_.wait_for(sim::usec(100));
-  });
-  engine_.run();
-  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(hub_.metrics.counter("a.doorbells_rung")->value(), 1u);
+  // Bit 5 is not a latch bit: the interrupt fires, nothing is snapshotted.
+  EXPECT_THROW(port_b_->pop_latched_frame(), std::logic_error);
 }
 
 TEST_F(NtbPairFixture, LinkDownFailsTransfersAndRegisters) {
   const auto region = host_b_->memory().allocate(1024);
   port_a_->program_window(kRawWindow, region);
   const auto data = pattern(128);
+  const std::uint32_t one = 1;
   link_->set_up(false);
   engine_.spawn("p", [&] {
     EXPECT_THROW(port_a_->dma_write(kRawWindow, 0, data), pcie::LinkDownError);
-    EXPECT_THROW(port_a_->write_scratchpad(0, 1), pcie::LinkDownError);
+    EXPECT_THROW(port_a_->post(0, std::span<const std::uint32_t>(&one, 1)),
+                 pcie::LinkDownError);
     EXPECT_THROW(port_a_->ring_doorbell(0), pcie::LinkDownError);
   });
   engine_.run();
@@ -267,34 +225,42 @@ TEST_F(NtbPairFixture, PostedBurstIsOneWaitOfAllItsWrites) {
   // the caller.
   EXPECT_EQ(took, 8 * PortConfig{}.reg_write);
   EXPECT_EQ(dispatches, 1u);
-  // The doorbell's latch snapshot holds all seven values.
-  ASSERT_TRUE(port_b_->has_latched_frame());
-  const auto latched = port_b_->pop_latched_frame();
+  // The one doorbell's latch snapshot holds all seven values.
+  EXPECT_EQ(hub_.metrics.counter("a.doorbells_rung")->value(), 1u);
+  const auto latched = port_b_->pop_latched_frame().regs;
   for (std::size_t i = 0; i < kHeader.size(); ++i) {
     EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;
   }
-  EXPECT_TRUE(port_b_->doorbell_status() & (1u << 3));
+  EXPECT_THROW(port_b_->pop_latched_frame(), std::logic_error);
 }
 
 TEST_F(NtbPairFixture, PostedBurstWithoutDoorbellRingsNothing) {
+  port_b_->set_latch_bits(1u << 3);
+  const obs::Counter* rung = hub_.metrics.counter("a.doorbells_rung");
   sim::Dur took = -1;
   engine_.spawn("p", [&] {
     const sim::Time t0 = engine_.now();
     const std::span<const std::uint32_t> three(kHeader.data(), 3);
     port_a_->post(4, three);
     took = engine_.now() - t0;
-    EXPECT_EQ(port_b_->read_scratchpad(4), kHeader[0]);
-    EXPECT_EQ(port_b_->read_scratchpad(6), kHeader[2]);
+    EXPECT_EQ(rung->value(), 0u);
+    EXPECT_THROW(port_b_->pop_latched_frame(), std::logic_error);
     EXPECT_THROW(port_a_->post(6, three), std::out_of_range);  // regs 6..8
+    // The registers did land: the next doorbell's snapshot carries them.
+    port_a_->ring_doorbell(3);
   });
   engine_.run();
   EXPECT_EQ(took, 3 * PortConfig{}.reg_write);
-  EXPECT_EQ(port_b_->doorbell_status(), 0u);
+  EXPECT_EQ(rung->value(), 1u);
+  const auto latched = port_b_->pop_latched_frame().regs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(latched[4 + i], kHeader[i]) << "reg " << 4 + i;
+  }
 }
 
 TEST_F(NtbPairFixture, PostedBurstDrawsFaultsPerRegisterAtTheirLandingTimes) {
   // The reference values come from the one-wait-per-register model: seven
-  // write_scratchpad calls plus ring_doorbell under the same seeded plan.
+  // single-register writes plus ring_doorbell under the same seeded plan.
   // The burst must store the same bank, count the same faults and stamp
   // each draw with its register's own landing time (400 ns per write).
   sim::FaultSpec spec;
@@ -310,8 +276,7 @@ TEST_F(NtbPairFixture, PostedBurstDrawsFaultsPerRegisterAtTheirLandingTimes) {
   const std::array<std::uint32_t, kNumScratchpads> want = {
       0xabf79af6u, 0xaa6c5bd1u, 0x33333333u, 0x345d8c95u,
       0x55555555u, 0xee639a35u, 0x77777777u, 0x00000000u};
-  ASSERT_TRUE(port_b_->has_latched_frame());
-  EXPECT_EQ(port_b_->pop_latched_frame(), want);
+  EXPECT_EQ(port_b_->pop_latched_frame().regs, want);
   EXPECT_EQ(plan.stats().scratchpads_corrupted, 4u);
   EXPECT_EQ(plan.stats().total(), 4u);
   ASSERT_EQ(tracer.tracks().size(), 1u);
@@ -328,6 +293,7 @@ TEST_F(NtbPairFixture, PostedBurstDrawsFaultsPerRegisterAtTheirLandingTimes) {
 }
 
 TEST_F(NtbPairFixture, LinkDropInsideBurstFailsItAndLandsNothing) {
+  port_b_->set_latch_bits(1u << 3);
   engine_.spawn("flap", [&] {
     engine_.wait_for(sim::usec(1));  // mid-burst (the burst takes 3.2us)
     link_->set_up(false);
@@ -336,14 +302,17 @@ TEST_F(NtbPairFixture, LinkDropInsideBurstFailsItAndLandsNothing) {
     EXPECT_THROW(port_a_->post(0, kHeader, 3), pcie::LinkDownError);
   });
   engine_.run();
-  EXPECT_FALSE(port_b_->has_latched_frame());
-  EXPECT_EQ(port_b_->doorbell_status(), 0u);
-  engine_.spawn("check", [&] {
-    for (int i = 0; i < kNumScratchpads; ++i) {
-      EXPECT_EQ(port_b_->read_scratchpad(i), 0u) << "reg " << i;
-    }
-  });
+  EXPECT_EQ(hub_.metrics.counter("a.doorbells_rung")->value(), 0u);
+  EXPECT_THROW(port_b_->pop_latched_frame(), std::logic_error);
+  // No register landed either: once the link is back, a bare doorbell
+  // snapshots a bank that is still all zero.
+  link_->set_up(true);
+  engine_.spawn("check", [&] { port_a_->ring_doorbell(3); });
   engine_.run();
+  const auto latched = port_b_->pop_latched_frame().regs;
+  for (std::size_t i = 0; i < latched.size(); ++i) {
+    EXPECT_EQ(latched[i], 0u) << "reg " << i;
+  }
 }
 
 TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
@@ -370,21 +339,23 @@ TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
   // The burst ends at 3.2us inside the outage, polls once per retry
   // interval and lands at the first poll that finds the link retrained.
   EXPECT_EQ(done, 8 * pc.reg_write + pc.link_retry_interval);
-  ASSERT_TRUE(b.has_latched_frame());
-  const auto latched = b.pop_latched_frame();
+  const auto latched = b.pop_latched_frame().regs;
   for (std::size_t i = 0; i < kHeader.size(); ++i) {
     EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;
   }
 }
 
 TEST_F(NtbPairFixture, ScratchpadIndexRangeChecked) {
+  const std::uint32_t zero = 0;
+  const std::span<const std::uint32_t> one_reg(&zero, 1);
   engine_.spawn("p", [&] {
-    EXPECT_THROW(port_a_->write_scratchpad(kNumScratchpads, 0),
-                 std::out_of_range);
-    EXPECT_THROW(port_a_->read_scratchpad(-1), std::out_of_range);
+    EXPECT_THROW(port_a_->post(kNumScratchpads, one_reg), std::out_of_range);
+    EXPECT_THROW(port_a_->post(-1, one_reg), std::out_of_range);
     EXPECT_THROW(port_a_->ring_doorbell(kNumDoorbells), std::out_of_range);
+    EXPECT_THROW(port_a_->post(0, one_reg, -2), std::out_of_range);
   });
   engine_.run();
+  EXPECT_EQ(hub_.metrics.counter("a.scratchpad_writes")->value(), 0u);
 }
 
 TEST(NtbPortTest, UnconnectedPortRejectsUse) {
@@ -445,8 +416,18 @@ TEST_F(NtbPairFixture, InFlightDmaKeepsLatchedTranslation) {
 }
 
 TEST_F(NtbPairFixture, PerLinkDmaRateOverrideAffectsTiming) {
+  // A second pair between the same hosts whose adapters run at a
+  // downgraded chipset rate, as FabricConfig::link_dma_rates_Bps sets it.
+  PortConfig pc;
+  pc.dma_rate_Bps = 1.0e9;
+  NtbPort a(engine_, *host_a_, "slow_a", pc);
+  pc.vector_base = 16;
+  NtbPort b(engine_, *host_b_, "slow_b", pc);
+  pcie::Link link(engine_, "slow_link", pcie::gen_lanes(pcie::Gen::kGen3, 8));
+  NtbPort::connect(a, b, link);
   const auto region = host_b_->memory().allocate(1u << 20);
   port_a_->program_window(kRawWindow, region);
+  a.program_window(kRawWindow, region);
   const auto data = pattern(512 * 1024);
   sim::Dur fast = 0;
   sim::Dur slow = 0;
@@ -454,9 +435,8 @@ TEST_F(NtbPairFixture, PerLinkDmaRateOverrideAffectsTiming) {
     sim::Time t0 = engine_.now();
     port_a_->dma_write(kRawWindow, 0, data);
     fast = engine_.now() - t0;
-    port_a_->set_dma_rate(1.0e9);  // chipset downgrade
     t0 = engine_.now();
-    port_a_->dma_write(kRawWindow, 0, data);
+    a.dma_write(kRawWindow, 0, data);
     slow = engine_.now() - t0;
   });
   engine_.run();

@@ -2,6 +2,9 @@
 // fault injection, and channel flow control.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "backend/backend.hpp"
 #include "shmem/api.hpp"
 #include "shmem_test_util.hpp"
 
@@ -36,6 +39,36 @@ TEST(TransportStatsTest, CountersTrackOperations) {
   EXPECT_EQ(s0.atomics_issued, 1u);
   EXPECT_GT(s0.frames_sent, 0u);
   EXPECT_GT(s0.barriers_completed, 0u);
+}
+
+TEST(TransportStatsTest, RejectedAtomicPostIsNotIssued) {
+  Runtime rt(test_options(2));
+  bool threw = false;
+  sim::Dur took = -1;
+  std::uint64_t issued = 1;
+  rt.run([&] {
+    shmem_init();
+    auto* word = static_cast<long*>(shmem_calloc(1, sizeof(long)));
+    if (shmem_my_pe() == 0) {
+      Context& ctx = *Runtime::current();
+      const sim::Time t0 = rt.engine().now();
+      try {
+        ctx.chan().atomic_post(AtomicOp::kFetchAdd, ctx.symmetric_offset(word),
+                               1, 8, 1, ctx.default_domain());
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      took = rt.engine().now() - t0;
+      issued = ctx.transport().stats().atomics_issued;
+    }
+    shmem_barrier_all();
+    shmem_free(word);
+    shmem_finalize();
+  });
+  // A fetching op is misuse: rejected before it costs time or counts.
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(took, 0);
+  EXPECT_EQ(issued, 0u);
 }
 
 TEST(TransportStatsTest, DeliveryAcksFlowInFullMode) {
