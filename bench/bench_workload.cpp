@@ -5,8 +5,8 @@
 // utilization, and the schedule digest that pins the run bit-for-bit.
 //
 // Flags (besides bench_util.hpp's observability flags; any other argument,
-// any value outside what is listed, and --fault-plan other than none or
-// --sweep with --backend=shm are errors: exit 2, named):
+// any value outside what is listed, and --fault-plan other than none with
+// --backend=shm are errors: exit 2, named):
 //   --scenario=kv|stencil|allreduce|all   what to run (default all)
 //   --backend=sim|shm                     data-path backend (default sim);
 //                                         shm runs each PE as a real forked
@@ -26,9 +26,6 @@
 //   --out-prefix=PATH                     artifact prefix (default
 //                                         bench_workload); files are named
 //                                         <prefix>.<scenario>.json
-//   --sweep                               run the topology x tuning x
-//                                         fault-plan grid at reduced size
-//                                         instead of the single config
 //
 // A fault plan other than `none` switches the transport's reliable-delivery
 // layer on and makes links resilient — the composition the PR 6 fault tests
@@ -70,7 +67,6 @@ struct Cli {
   std::string tuning = "pipelined";
   std::string fault_plan = "none";
   std::string out_prefix = "bench_workload";
-  bool sweep = false;
 };
 
 Cli g_cli;
@@ -135,8 +131,6 @@ void parse_cli(int* argc, char** argv) {
       g_cli.fault_plan = std::string(v);
     } else if (is("--out-prefix=")) {
       g_cli.out_prefix = std::string(v);
-    } else if (arg == "--sweep") {
-      g_cli.sweep = true;
     } else {
       argv[out++] = argv[i];
     }
@@ -146,17 +140,12 @@ void parse_cli(int* argc, char** argv) {
     }
   }
   *argc = out;
-  // Combinations each value allows alone but the shm backend cannot run:
-  // it has no simulated fabric to inject faults into or to sweep over.
+  // A combination each value allows alone but the shm backend cannot run:
+  // it has no simulated fabric to inject faults into.
   if (g_cli.backend == "shm" && g_cli.fault_plan != "none") {
     std::cerr << argv[0] << ": --fault-plan=" << g_cli.fault_plan
               << " requires --backend=sim (the shm backend has no simulated "
                  "fabric to inject faults into)\n";
-    bad = true;
-  }
-  if (g_cli.backend == "shm" && g_cli.sweep) {
-    std::cerr << argv[0] << ": --sweep grids over topology x tuning x "
-                 "fault-plan, which only --backend=sim has\n";
     bad = true;
   }
   if (bad) std::exit(2);
@@ -172,14 +161,13 @@ void torus_shape(int n, int* rows, int* cols) {
   *cols = n / r;
 }
 
-shmem::RuntimeOptions make_options(const std::string& backend, int hosts,
-                                   const std::string& topology,
-                                   const std::string& tuning,
-                                   const std::string& fault_plan) {
+// parse_cli has checked every value, so each chain's last branch is the
+// one value left.
+shmem::RuntimeOptions make_options(const Cli& cli) {
   shmem::RuntimeOptions opts;
-  opts.npes = hosts;
+  opts.npes = cli.hosts;
 
-  if (backend == "shm") {
+  if (cli.backend == "shm") {
     // Real forked processes over the POSIX shared-memory segment: no
     // simulated fabric, so the topology/tuning knobs do not apply (parse_cli
     // rejects a fault plan).
@@ -187,55 +175,46 @@ shmem::RuntimeOptions make_options(const std::string& backend, int hosts,
     ObsCli::instance().apply(opts);
     return opts;
   }
-  if (backend != "sim") {
-    throw std::invalid_argument("unknown --backend=" + backend);
-  }
 
   opts.link_dma_rates_Bps.clear();  // uniform links for clean utilization
   opts.schedule_digest = true;      // pin every artifact to its schedule
 
-  if (topology == "ring") {
+  if (cli.topology == "ring") {
     opts.topology.kind = fabric::TopologyKind::kRing;
     opts.routing = fabric::RoutingMode::kShortest;
-  } else if (topology == "chordal") {
+  } else if (cli.topology == "chordal") {
     opts.topology.kind = fabric::TopologyKind::kChordal;
-    opts.topology.skips = {hosts >= 8 ? hosts / 4 : 2};
+    opts.topology.skips = {cli.hosts >= 8 ? cli.hosts / 4 : 2};
     opts.routing = fabric::RoutingMode::kShortest;
-  } else if (topology == "torus") {
+  } else if (cli.topology == "torus") {
     opts.topology.kind = fabric::TopologyKind::kTorus2D;
-    torus_shape(hosts, &opts.topology.rows, &opts.topology.cols);
+    torus_shape(cli.hosts, &opts.topology.rows, &opts.topology.cols);
     opts.routing = fabric::RoutingMode::kDimensionOrder;
-  } else if (topology == "fullmesh") {
+  } else {
     opts.topology.kind = fabric::TopologyKind::kFullMesh;
     opts.routing = fabric::RoutingMode::kShortest;
-  } else {
-    throw std::invalid_argument("unknown --topology=" + topology);
   }
 
-  if (tuning == "paper") {
+  if (cli.tuning == "paper") {
     opts.tuning = shmem::TransportTuning::paper();
-  } else if (tuning == "pipelined") {
-    opts.tuning = shmem::TransportTuning::all_on();
-    opts.tuning.topology_collectives = topology != "ring";
   } else {
-    throw std::invalid_argument("unknown --tuning=" + tuning);
+    opts.tuning = shmem::TransportTuning::all_on();
+    opts.tuning.topology_collectives = cli.topology != "ring";
   }
 
-  if (fault_plan == "none") {
+  if (cli.fault_plan == "none") {
     // nothing injected; tuning untouched
-  } else if (fault_plan == "drop") {
+  } else if (cli.fault_plan == "drop") {
     opts.faults.doorbell_drop = 0.02;
     opts.faults.dma_error = 0.01;
     opts.tuning = shmem::TransportTuning::reliable(opts.tuning);
     opts.resilient_links = true;
-  } else if (fault_plan == "flaky") {
+  } else {
     opts.faults.doorbell_drop = 0.01;
     opts.faults.link_flaps.push_back(
         sim::LinkFlap{0, 2'000'000, 6'000'000});  // 4 ms outage on link 0
     opts.tuning = shmem::TransportTuning::reliable(opts.tuning);
     opts.resilient_links = true;
-  } else {
-    throw std::invalid_argument("unknown --fault-plan=" + fault_plan);
   }
   // --trace-out/--causal-out switch span/causal recording on for the run.
   ObsCli::instance().apply(opts);
@@ -250,10 +229,8 @@ workload::TrafficSpec make_traffic(const Cli& cli) {
     tr.arrival = workload::ArrivalProcess::kClosedLoop;
   } else if (cli.arrival == "fixed") {
     tr.arrival = workload::ArrivalProcess::kOpenFixed;
-  } else if (cli.arrival == "poisson") {
-    tr.arrival = workload::ArrivalProcess::kOpenPoisson;
   } else {
-    throw std::invalid_argument("unknown --arrival=" + cli.arrival);
+    tr.arrival = workload::ArrivalProcess::kOpenPoisson;
   }
   return tr;
 }
@@ -270,13 +247,11 @@ workload::SloReport run_one(const std::string& scenario,
     workload::StencilSpec spec;
     spec.iterations = cli.iterations;
     run = workload::run_stencil(rt, spec, cli.seed);
-  } else if (scenario == "allreduce") {
+  } else {
     workload::AllreduceSpec spec;
     spec.steps = cli.steps;
     spec.groups = opts.npes % 2 == 0 ? 2 : 1;
     run = workload::run_allreduce(rt, spec, cli.seed);
-  } else {
-    throw std::invalid_argument("unknown --scenario=" + scenario);
   }
   // Last run wins: the trace/causal/metrics artifacts land once at exit.
   ObsCli::instance().capture(rt);
@@ -314,36 +289,11 @@ std::vector<std::string> scenario_list() {
   return {g_cli.scenario};
 }
 
-void run_single() {
+void run_all() {
   for (const std::string& sc : scenario_list()) {
-    const workload::SloReport r = run_one(
-        sc, make_options(g_cli.backend, g_cli.hosts, g_cli.topology,
-                         g_cli.tuning, g_cli.fault_plan),
-        g_cli);
+    const workload::SloReport r = run_one(sc, make_options(g_cli), g_cli);
     print_report(r);
     write_report(r, g_cli.out_prefix + "." + sc + ".json");
-  }
-}
-
-// Reduced-size grid over topology x tuning x fault-plan. Each cell's
-// artifact is self-describing, so the sweep is just many single runs.
-void run_sweep() {
-  Cli small = g_cli;
-  small.requests = std::min<std::uint64_t>(small.requests, 512);
-  small.iterations = std::min(small.iterations, 8);
-  small.steps = std::min(small.steps, 4);
-  for (const char* topo : {"ring", "torus"}) {
-    for (const char* tune : {"paper", "pipelined"}) {
-      for (const char* plan : {"none", "drop"}) {
-        for (const std::string& sc : scenario_list()) {
-          const workload::SloReport r = run_one(
-              sc, make_options("sim", small.hosts, topo, tune, plan), small);
-          print_report(r);
-          write_report(r, std::string(g_cli.out_prefix) + "." + sc + "." +
-                              topo + "." + tune + "." + plan + ".json");
-        }
-      }
-    }
   }
 }
 
@@ -353,11 +303,7 @@ void run_sweep() {
 int main(int argc, char** argv) {
   ntbshmem::bench::parse_cli(&argc, argv);
   ntbshmem::bench::ObsCli::instance().parse_args(argc, argv);
-  if (ntbshmem::bench::g_cli.sweep) {
-    ntbshmem::bench::run_sweep();
-  } else {
-    ntbshmem::bench::run_single();
-  }
+  ntbshmem::bench::run_all();
   ntbshmem::bench::ObsCli::instance().report();
   return 0;
 }

@@ -16,9 +16,10 @@
 # Model mode regenerates BENCH_model.json from BUILD_DIR's benches. It holds
 # virtual-time outputs only, which are exact: the Fig. 8(d), Fig. 9 and
 # Fig. 10 tables and the A7 fault table as the benches print them, the A6
-# pipeline and A9 topology ablation JSON, the dispatches per request of
-# CI's slo16.kv config, and the schedule digest and dispatch count of CI's
-# slo16drop KV config, which pin the fault path. CI's perf-ledger job
+# pipeline and A9 topology ablation JSON, the schedule digest and the
+# dispatches per request of CI's slo16.kv config, which pin its KV traffic
+# exactly, and the schedule digest and dispatch count of CI's slo16drop KV
+# config, which pin the fault path. CI's perf-ledger job
 # regenerates it and fails on any difference.
 set -euo pipefail
 
@@ -90,6 +91,7 @@ model = {
     "a7_faults": tables("faults.txt", "Ablation A7"),
     "a9_topology": load("bench_ablation_topology.json"),
     "slo16_kv": {
+        "schedule_digest": kv["schedule_digest"],
         "schedule_dispatches": kv["schedule_dispatches"],
         "requests_issued": kv["requests"]["issued"],
         "dispatches_per_request":

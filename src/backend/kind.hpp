@@ -7,42 +7,21 @@
 //   kShm — real fork()ed processes sharing a POSIX shm segment: puts are
 //          memcpy through the mapped peer heap, doorbells are futexes, and
 //          every latency is a wall-clock number.
-// kAuto defers the choice to the NTBSHMEM_BACKEND environment variable
-// ("sim" | "shm"), falling back to kSim — so one binary runs either way.
+// The caller names the backend in RuntimeOptions::backend.
 //
 // This header is dependency-free on purpose: RuntimeOptions embeds the enum
 // without pulling the backend interfaces into every options consumer.
 #pragma once
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-
 namespace ntbshmem::backend {
 
 enum class Kind : int {
-  kAuto = 0,  // consult NTBSHMEM_BACKEND, default kSim
-  kSim = 1,
-  kShm = 2,
+  kSim,
+  kShm,
 };
-
-// Resolves kAuto against the NTBSHMEM_BACKEND environment variable; an
-// explicit kind passes through unchanged. Throws std::invalid_argument on
-// an unrecognized variable value (silent fallback would mask typos in CI).
-inline Kind resolve(Kind requested) {
-  if (requested != Kind::kAuto) return requested;
-  const char* env = std::getenv("NTBSHMEM_BACKEND");
-  if (env == nullptr || *env == '\0') return Kind::kSim;
-  const std::string v(env);
-  if (v == "sim") return Kind::kSim;
-  if (v == "shm") return Kind::kShm;
-  throw std::invalid_argument("NTBSHMEM_BACKEND must be 'sim' or 'shm', got '" +
-                              v + "'");
-}
 
 inline const char* kind_name(Kind k) {
   switch (k) {
-    case Kind::kAuto: return "auto";
     case Kind::kSim: return "sim";
     case Kind::kShm: return "shm";
   }

@@ -596,13 +596,7 @@ std::uint64_t ShmChannel::apply_atomic(shmem::AtomicOp op, int target_pe,
                                        std::uint8_t width,
                                        std::uint64_t operand1,
                                        std::uint64_t operand2) {
-  if (width != 4 && width != 8) {
-    throw std::invalid_argument("shm atomic: width must be 4 or 8");
-  }
-  if (heap_offset % width != 0) {
-    throw std::invalid_argument(
-        "shm atomic: heap offset must be naturally aligned");
-  }
+  shmem::check_amo_operand(heap_offset, width);
   std::byte* p = heap_at(target_pe, heap_offset, width, "shm atomic");
   if (width == 4) {
     return amo_builtin(op, reinterpret_cast<std::uint32_t*>(p), operand1,

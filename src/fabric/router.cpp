@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "common/fnv.hpp"
-#include "sim/audit.hpp"
+#include "common/splitmix.hpp"
 
 namespace ntbshmem::fabric {
 
@@ -17,7 +17,7 @@ namespace {
 // non-zero seed permutes the preference deterministically.
 std::uint64_t port_key(std::uint64_t seed, int port) {
   if (seed == 0) return static_cast<std::uint64_t>(port);
-  return sim::splitmix64_mix(seed ^ static_cast<std::uint64_t>(port + 1));
+  return splitmix::mix(seed ^ static_cast<std::uint64_t>(port + 1));
 }
 
 // Unweighted BFS distance from every host to `dst` over the port graph.

@@ -58,7 +58,7 @@ void NtbPort::await_link_up() {
     return;
   }
   while (!link_->up()) {
-    engine_.wait_for(config_.link_retry_interval);
+    engine_.wait_for(kLinkRetryInterval);
   }
 }
 

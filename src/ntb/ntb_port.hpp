@@ -44,6 +44,9 @@ inline constexpr int kNumWindows = 4;
 // `doorbell` argument of NtbPort::post for a burst that rings nothing.
 inline constexpr int kNoDoorbell = -1;
 
+// How often a resilient port polls a link that is down for retraining.
+inline constexpr sim::Dur kLinkRetryInterval = 100'000;  // 100us
+
 // Conventional window roles used by the OpenSHMEM layer; the raw window is
 // what the Fig. 8 link-rate experiment programs directly.
 enum WindowIndex : int {
@@ -71,12 +74,11 @@ struct PortConfig {
   // get 0 and 16; higher-degree topologies continue at 32, 48, ...
   int vector_base = 0;
   // Resilience: when true, operations that find the link administratively
-  // down wait for retraining (polling every retry_interval) instead of
+  // down wait for retraining (polling every kLinkRetryInterval) instead of
   // throwing LinkDownError — the PCIe link-recovery behaviour a production
   // driver exposes. Default is fail-fast, which the fault-injection tests
   // rely on.
   bool retry_on_link_down = false;
-  sim::Dur link_retry_interval = 100'000;  // 100us
 };
 
 class NtbPort {

@@ -135,6 +135,17 @@ constexpr bool is_fetching(AtomicOp op) {
          op == AtomicOp::kSwap;
 }
 
+// The operand every atomic must name, on both backends: a 4- or 8-byte word
+// at a naturally aligned heap offset. Throws std::invalid_argument.
+inline void check_amo_operand(std::uint64_t heap_offset, std::uint8_t width) {
+  if (width != 4 && width != 8) {
+    throw std::invalid_argument("atomic width must be 4 or 8");
+  }
+  if (heap_offset % width != 0) {
+    throw std::invalid_argument("atomic heap offset must be naturally aligned");
+  }
+}
+
 // Fixed-size message header serialized at offset 0 of every staged/chunked
 // logical message; payload follows immediately.
 struct MessageHeader {

@@ -123,11 +123,9 @@ struct ObsOptions {
 
 struct RuntimeOptions {
   // Data-path backend: the simulated NTB fabric (kSim) or real fork()ed
-  // processes over a POSIX shm segment (kShm). kAuto consults the
-  // NTBSHMEM_BACKEND environment variable and falls back to kSim, so any
-  // binary can be switched without a rebuild (DESIGN.md §4j). All fabric,
+  // processes over a POSIX shm segment (kShm) (DESIGN.md §4j). All fabric,
   // timing, fault and tuning knobs below apply to the sim backend only.
-  backend::Kind backend = backend::Kind::kAuto;
+  backend::Kind backend = backend::Kind::kSim;
   int npes = 3;  // total PEs
   // PEs per host (block mapping: PE p lives on host p / pes_per_host). The
   // paper's prototype is 1:1; higher values are the multi-tenant extension:

@@ -278,7 +278,7 @@ constexpr sim::Dur kLinkUtilWindow = 1'000'000;  // 1 ms
 }  // namespace
 
 Runtime::Runtime(const RuntimeOptions& options)
-    : options_(options), backend_kind_(backend::resolve(options.backend)) {
+    : options_(options) {
   if (options_.pes_per_host < 1) {
     throw std::invalid_argument("pes_per_host must be >= 1");
   }
@@ -286,10 +286,10 @@ Runtime::Runtime(const RuntimeOptions& options)
     throw std::invalid_argument(
         "npes must be a positive multiple of pes_per_host (>= 2)");
   }
-  if (backend_kind_ == backend::Kind::kSim && options_.num_hosts() < 2) {
+  if (options_.backend == backend::Kind::kSim && options_.num_hosts() < 2) {
     throw std::invalid_argument("the switchless fabric needs >= 2 hosts");
   }
-  if (backend_kind_ == backend::Kind::kShm && options_.pes_per_host != 1) {
+  if (options_.backend == backend::Kind::kShm && options_.pes_per_host != 1) {
     throw std::invalid_argument(
         "the shm backend maps one PE per process (pes_per_host must be 1)");
   }
@@ -326,7 +326,7 @@ Runtime::Runtime(const RuntimeOptions& options)
     fault_plan_->bind_tracer(&obs_.tracer);
     engine_.attach_faults(fault_plan_.get());
   }
-  if (backend_kind_ == backend::Kind::kSim) {
+  if (options_.backend == backend::Kind::kSim) {
     fabric_ = std::make_unique<fabric::Fabric>(engine_,
                                                options_.fabric_config());
     // Routing/topology compatibility: the legacy right-only circulation is

@@ -239,7 +239,6 @@ class Runtime {
 
  private:
   RuntimeOptions options_;
-  backend::Kind backend_kind_;
   sim::Engine engine_;
   // The hub must outlive every component that cached instrument pointers at
   // construction (fabric, transports): declared before them, attached to the

@@ -118,9 +118,7 @@ std::optional<std::uint64_t> SymmetricHeap::reallocate(std::uint64_t offset,
 
 std::vector<SymmetricHeap::Piece> SymmetricHeap::pieces(
     std::uint64_t offset, std::uint64_t len) const {
-  if (offset + len > virtual_size()) {
-    throw std::out_of_range("SymmetricHeap: range beyond heap end");
-  }
+  check_range(offset, len);
   std::vector<Piece> out;
   std::uint64_t cur = offset;
   std::uint64_t left = len;
@@ -133,6 +131,13 @@ std::vector<SymmetricHeap::Piece> SymmetricHeap::pieces(
     left -= n;
   }
   return out;
+}
+
+void SymmetricHeap::check_range(std::uint64_t offset,
+                                std::uint64_t len) const {
+  if (offset > virtual_size() || len > virtual_size() - offset) {
+    throw std::out_of_range("SymmetricHeap: range beyond heap end");
+  }
 }
 
 std::byte* SymmetricHeap::ptr(std::uint64_t offset) {

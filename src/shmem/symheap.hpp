@@ -61,6 +61,9 @@ class SymmetricHeap {
     std::uint64_t virt_off;    // corresponding virtual offset
   };
   std::vector<Piece> pieces(std::uint64_t offset, std::uint64_t len) const;
+  // Throws std::out_of_range unless [offset, offset+len) lies inside the
+  // heap.
+  void check_range(std::uint64_t offset, std::uint64_t len) const;
 
   // Local bulk access (splits across chunks internally).
   void write(std::uint64_t offset, std::span<const std::byte> src);

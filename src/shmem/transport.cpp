@@ -826,8 +826,14 @@ void Transport::enqueue_outbound(OutboundItem item) {
 
 // ---- application-context operations ------------------------------------------
 
+void Transport::check_target(int pe, std::uint64_t heap_offset,
+                             std::uint64_t len) {
+  if (len > 0) runtime_.context(pe).heap().check_range(heap_offset, len);
+}
+
 void Transport::put(std::uint64_t heap_offset, std::span<const std::byte> src,
                     int target_pe, int origin_pe, int domain) {
+  check_target(target_pe, heap_offset, src.size());
   sim::Engine& engine = runtime_.engine();
   const Step root = Step::op(*this, origin_pe, obs::kFamilyPut, src.size());
   flight_.log(engine.now(), obs::FlightCode::kPut,
@@ -908,6 +914,7 @@ void Transport::local_put(std::uint64_t heap_offset,
 std::uint32_t Transport::get_nbi(std::uint64_t heap_offset,
                                  std::span<std::byte> dst, int source_pe,
                                  int origin_pe, int domain) {
+  check_target(source_pe, heap_offset, dst.size());
   const Step root = Step::op(*this, origin_pe, obs::kFamilyGet, dst.size());
   return issue_get(heap_offset, dst, source_pe, origin_pe, domain);
 }
@@ -939,6 +946,7 @@ std::uint32_t Transport::issue_get(std::uint64_t heap_offset,
 
 void Transport::get(std::uint64_t heap_offset, std::span<std::byte> dst,
                     int source_pe, int origin_pe) {
+  check_target(source_pe, heap_offset, dst.size());
   sim::Engine& engine = runtime_.engine();
   const Step root = Step::op(*this, origin_pe, obs::kFamilyGet, dst.size());
   engine.wait_for(timing().sw_overhead);
@@ -965,6 +973,8 @@ std::uint64_t Transport::atomic(AtomicOp op, std::uint64_t heap_offset,
                                 int target_pe, std::uint8_t width,
                                 std::uint64_t operand1,
                                 std::uint64_t operand2, int origin_pe) {
+  check_amo_operand(heap_offset, width);
+  check_target(target_pe, heap_offset, width);
   sim::Engine& engine = runtime_.engine();
   const Step root = Step::op(*this, origin_pe, obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
@@ -1012,11 +1022,11 @@ void Transport::atomic_post(AtomicOp op, std::uint64_t heap_offset,
                             int target_pe, std::uint8_t width,
                             std::uint64_t operand1, int origin_pe,
                             int domain) {
-  // Rejected before any side effect, as the shm backend does: a misuse
-  // costs no time and is never counted as issued.
   if (is_fetching(op)) {
     throw std::invalid_argument("atomic_post requires a non-fetching op");
   }
+  check_amo_operand(heap_offset, width);
+  check_target(target_pe, heap_offset, width);
   sim::Engine& engine = runtime_.engine();
   const Step root = Step::op(*this, origin_pe, obs::kFamilyAtomic, width);
   flight_.log(engine.now(), obs::FlightCode::kAtomic,
@@ -1607,9 +1617,6 @@ std::uint64_t Transport::apply_atomic(AtomicOp op, int target_pe,
                                       std::uint8_t width,
                                       std::uint64_t operand1,
                                       std::uint64_t operand2) {
-  if (width != 4 && width != 8) {
-    throw std::invalid_argument("atomic width must be 4 or 8");
-  }
   SymmetricHeap& heap = runtime_.context(target_pe).heap();
   std::uint64_t old = 0;
   std::array<std::byte, 8> buf{};

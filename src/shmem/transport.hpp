@@ -456,6 +456,11 @@ class Transport {
   bool try_cut_through(const FrameHeader& f, int from);
   void ack_frame(int from);
   void dispatch_message(std::vector<std::byte> message, int from);
+  // Misuse is rejected at issue, in the calling PE, before anything is
+  // logged, charged or counted, as the shm backend rejects it: a non-empty
+  // range must lie inside `pe`'s symmetric heap (std::out_of_range, as for
+  // an unknown PE). Atomics also pass check_amo_operand first.
+  void check_target(int pe, std::uint64_t heap_offset, std::uint64_t len);
   // Local delivery between co-resident PEs (shared-memory path).
   void local_put(std::uint64_t heap_offset, std::span<const std::byte> src,
                  int target_pe);

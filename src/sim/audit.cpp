@@ -2,13 +2,6 @@
 
 namespace ntbshmem::sim {
 
-std::uint64_t splitmix64_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 void ScheduleDigest::reset() {
   hash_ = fnv::kOffset;
   count_ = 0;

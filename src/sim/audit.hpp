@@ -33,11 +33,6 @@ enum class DispatchKind : std::uint8_t {
   kCallback = 2,
 };
 
-// Stateless splitmix64 finalizer: a bijection on uint64 and a general seeded
-// mixer (the router's seeded route tie-break keys ports with it). Distinct
-// from the stream-advancing splitmix64 in fault.cpp.
-std::uint64_t splitmix64_mix(std::uint64_t x);
-
 // FNV-1a (64-bit) accumulator over the dispatched event stream.
 class ScheduleDigest {
  public:

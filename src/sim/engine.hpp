@@ -238,8 +238,8 @@ class Engine {
   // ---- Schedule auditing ----------------------------------------------------
   // Opt-in FNV digest of the dispatched (time, seq, kind) event stream; see
   // sim/audit.hpp. Enabling resets the accumulator. Zero-cost when off.
-  void enable_schedule_digest(bool on = true) {
-    digest_enabled_ = on;
+  void enable_schedule_digest() {
+    digest_enabled_ = true;
     digest_.reset();
   }
   bool schedule_digest_enabled() const { return digest_enabled_; }

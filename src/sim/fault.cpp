@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/fnv.hpp"
+#include "common/splitmix.hpp"
 #include "obs/trace.hpp"
 #include "sim/branch.hpp"
 
@@ -15,18 +16,6 @@ namespace {
 std::uint64_t site_hash(FaultPlan::Site site, const std::string& key) {
   return fnv::fold_bytes(
       fnv::fold(fnv::kOffset, static_cast<std::uint8_t>(site)), key);
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double to_unit(std::uint64_t r) {
-  return static_cast<double>(r >> 11) * 0x1.0p-53;
 }
 
 // Probability that at least one of `n` independent per-TLP events with
@@ -64,7 +53,7 @@ std::uint64_t& FaultPlan::stream(Site site, const std::string& key) {
 
 bool FaultPlan::roll(Site site, const std::string& key, double prob) {
   if (prob <= 0.0) return false;
-  return to_unit(splitmix64(stream(site, key))) < prob;
+  return splitmix::unit(splitmix::next(stream(site, key))) < prob;
 }
 
 void FaultPlan::set_branch_hook(BranchHook* hook, std::uint32_t site_mask,
@@ -88,7 +77,7 @@ bool FaultPlan::explore_decision(Site site, const std::string& key) {
 std::uint32_t FaultPlan::draw_mask(Site site, const std::string& key) {
   // Any nonzero XOR mask corrupts; force the low bit so a zero draw cannot
   // produce a no-op "corruption".
-  return static_cast<std::uint32_t>(splitmix64(stream(site, key))) | 1u;
+  return static_cast<std::uint32_t>(splitmix::next(stream(site, key))) | 1u;
 }
 
 void FaultPlan::note(Time now, const std::string& message) {

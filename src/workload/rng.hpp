@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/fnv.hpp"
+#include "common/splitmix.hpp"
 
 namespace ntbshmem::workload {
 
@@ -29,18 +30,10 @@ class Stream {
   Stream(std::uint64_t seed, std::string_view key)
       : state_(seed ^ fnv::fold_bytes(fnv::kOffset, key)) {}
 
-  std::uint64_t next_u64() {
-    state_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next_u64() { return splitmix::next(state_); }
 
   // Uniform double in [0, 1), 53 bits of mantissa.
-  double next_unit() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double next_unit() { return splitmix::unit(next_u64()); }
 
   // Uniform integer in [0, n). Modulo bias is < n / 2^64 — irrelevant for
   // the n <= a few thousand this layer draws (PEs, slots, size points).
@@ -58,42 +51,9 @@ class Stream {
   std::uint64_t state_;
 };
 
-// Zipf-distributed ranks 0..n-1 with skew `theta` (theta = 0 is uniform;
-// 0.99 is the YCSB default). Sampling is a binary search over the
-// precomputed CDF: O(log n) per draw, exact, and allocation-free after
-// construction — fine for the n <= 1024 PEs this simulator scales to.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double theta) : cdf_(n) {
-    if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
-    double mass = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-      mass += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-      cdf_[r] = mass;
-    }
-    for (double& c : cdf_) c /= mass;
-    cdf_.back() = 1.0;  // guard against accumulated rounding
-  }
-
-  std::size_t sample(Stream& s) const {
-    const double u = s.next_unit();
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (cdf_[mid] <= u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
- private:
-  std::vector<double> cdf_;
-};
-
-// Weighted discrete sampler over indices 0..n-1 (op mixes, size points).
+// Weighted discrete sampler over indices 0..n-1 (target ranks, op mixes,
+// size points). Sampling is a binary search over the precomputed CDF:
+// O(log n) per draw, exact, and allocation-free after construction.
 class DiscreteSampler {
  public:
   explicit DiscreteSampler(const std::vector<double>& weights)

@@ -81,35 +81,40 @@ std::uint8_t kv_value_byte(std::uint64_t key, std::uint64_t i) {
   return static_cast<std::uint8_t>((key * 131 + i * 17 + 7) & 0xff);
 }
 
-// Target-PE picker: Zipf or uniform over the npes-1 other PEs. The issuing
-// PE is collapsed out of the rank space (rank >= me shifts up by one), so
-// rank 0 — the Zipf hot spot — is PE 0 for everyone except PE 0 itself.
-class TargetPicker {
- public:
-  TargetPicker(const TrafficSpec& spec, std::uint64_t seed,
-               const std::string& key, int me, int npes)
-      : me_(me),
-        others_(static_cast<std::uint64_t>(npes - 1)),
-        uniform_(spec.targets == TargetDist::kUniform),
-        stream_(seed, key),
-        zipf_(static_cast<std::size_t>(npes - 1),
-              spec.targets == TargetDist::kZipf ? spec.zipf_theta : 0.0) {}
-
-  int pick() {
-    const auto rank =
-        static_cast<int>(uniform_ ? stream_.next_below(others_)
-                                  : static_cast<std::uint64_t>(
-                                        zipf_.sample(stream_)));
-    return rank < me_ ? rank : rank + 1;
-  }
-
- private:
-  int me_;
-  std::uint64_t others_;
-  bool uniform_;
-  Stream stream_;
-  ZipfSampler zipf_;
+// The KV request kinds, in the order of their weights in the mix below.
+// kCtxPutNbi issues put_nbi on the PE's private communication context and
+// completes batches with shmem_ctx_quiet — the contexts-under-load path
+// nothing else exercises.
+enum class OpKind : std::size_t {
+  kGet,
+  kPut,
+  kCtxPutNbi,
+  kPutSignal,
 };
+
+// Value sizes in bytes (small-object serving), ascending: a slot holds the
+// last.
+constexpr std::uint64_t kValueBytes[] = {64, 256, 1024};
+constexpr std::uint64_t kSlotBytes = kValueBytes[2];
+
+// Outstanding put_nbi requests per private context before a ctx_quiet
+// completes the batch.
+constexpr std::size_t kNbiBatch = 4;
+
+// Mean of the allreduce's exponential per-step compute time, sim ns.
+constexpr double kComputeMeanNs = 200'000.0;
+
+// Zipf weights 1/(r+1)^0.99 (the YCSB default skew) of the npes-1 target
+// ranks. The issuing PE is collapsed out of the rank space (rank >= me
+// shifts up by one), so rank 0 — the hot spot — is PE 0 for everyone except
+// PE 0 itself.
+std::vector<double> zipf_weights(int npes) {
+  std::vector<double> w(static_cast<std::size_t>(npes - 1));
+  for (std::size_t r = 0; r < w.size(); ++r) {
+    w[r] = 1.0 / std::pow(static_cast<double>(r + 1), 0.99);
+  }
+  return w;
+}
 
 // Widest rows x cols factorisation of n with rows <= cols (rows may be 1).
 void grid_shape(int n, int* rows, int* cols) {
@@ -130,26 +135,22 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
     throw std::invalid_argument("run_kv: needs at least 2 PEs");
   }
   const auto slots = static_cast<std::uint64_t>(spec.slots_per_pe);
-  const std::uint64_t vbytes = spec.traffic.max_size();
-  if (slots == 0 || vbytes == 0) {
-    throw std::invalid_argument("run_kv: empty shard or size distribution");
+  if (slots == 0) {
+    throw std::invalid_argument("run_kv: empty shard");
   }
 
   obs::MetricsRegistry& reg = rt.obs().metrics;
-  obs::Histogram* h_total = reg.histogram("workload." + spec.name + ".latency_ns");
-  obs::Histogram* h_get = reg.histogram("workload." + spec.name + ".get.latency_ns");
-  obs::Histogram* h_put = reg.histogram("workload." + spec.name + ".put.latency_ns");
-  obs::Histogram* h_nbi =
-      reg.histogram("workload." + spec.name + ".put_nbi.latency_ns");
-  obs::Histogram* h_sig =
-      reg.histogram("workload." + spec.name + ".put_signal.latency_ns");
+  obs::Histogram* h_total = reg.histogram("workload.kv.latency_ns");
+  obs::Histogram* h_get = reg.histogram("workload.kv.get.latency_ns");
+  obs::Histogram* h_put = reg.histogram("workload.kv.put.latency_ns");
+  obs::Histogram* h_nbi = reg.histogram("workload.kv.put_nbi.latency_ns");
+  obs::Histogram* h_sig = reg.histogram("workload.kv.put_signal.latency_ns");
 
   const TrafficSpec& tr = spec.traffic;
-  std::vector<double> op_weights, size_weights;
-  for (const OpMixEntry& e : tr.mix) op_weights.push_back(e.weight);
-  for (const SizePoint& p : tr.sizes) size_weights.push_back(p.weight);
-  const DiscreteSampler op_sampler(op_weights);
-  const DiscreteSampler size_sampler(size_weights);
+  const DiscreteSampler target_sampler(zipf_weights(npes));
+  // Read-heavy serving mix, weights in OpKind order.
+  const DiscreteSampler op_sampler({0.70, 0.15, 0.10, 0.05});
+  const DiscreteSampler size_sampler({0.25, 0.50, 0.25});
 
   const sim::Dur elapsed = rt.run([&] {
     shmem_init();
@@ -158,7 +159,7 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
     Runtime& wrt = Runtime::current()->runtime();
     ScenarioReport mine;
 
-    auto* shard = static_cast<std::byte*>(shmem_malloc(slots * vbytes));
+    auto* shard = static_cast<std::byte*>(shmem_malloc(slots * kSlotBytes));
     auto* sigs = static_cast<std::uint64_t*>(
         shmem_calloc(static_cast<std::size_t>(npes), sizeof(std::uint64_t)));
 
@@ -167,19 +168,18 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
     for (std::uint64_t slot = 0; slot < slots; ++slot) {
       const std::uint64_t key =
           static_cast<std::uint64_t>(me) * slots + slot;
-      for (std::uint64_t i = 0; i < vbytes; ++i) {
-        shard[slot * vbytes + i] =
+      for (std::uint64_t i = 0; i < kSlotBytes; ++i) {
+        shard[slot * kSlotBytes + i] =
             static_cast<std::byte>(kv_value_byte(key, i));
       }
     }
     shmem_barrier_all();
 
-    TargetPicker targets(tr, seed, spec.name + ".target" + pe_tag, me, npes);
-    Stream op_stream(seed, spec.name + ".op" + pe_tag);
-    Stream size_stream(seed, spec.name + ".size" + pe_tag);
-    Stream slot_stream(seed, spec.name + ".slot" + pe_tag);
-    ArrivalClock arrivals(tr, seed, spec.name + ".arrival" + pe_tag,
-                          wrt.clock_now());
+    Stream target_stream(seed, "kv.target" + pe_tag);
+    Stream op_stream(seed, "kv.op" + pe_tag);
+    Stream size_stream(seed, "kv.size" + pe_tag);
+    Stream slot_stream(seed, "kv.slot" + pe_tag);
+    ArrivalClock arrivals(tr, seed, "kv.arrival" + pe_tag, wrt.clock_now());
 
     shmem_ctx_t ctx = SHMEM_CTX_INVALID;
     shmem_ctx_create(SHMEM_CTX_PRIVATE, &ctx);
@@ -191,8 +191,7 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
       std::uint64_t bytes;
     };
     std::vector<Pending> pending;
-    std::vector<std::vector<std::byte>> staging(
-        static_cast<std::size_t>(tr.nbi_batch > 0 ? tr.nbi_batch : 1));
+    std::vector<std::vector<std::byte>> staging(kNbiBatch);
     const auto flush = [&] {
       if (pending.empty()) return;
       shmem_ctx_quiet(ctx);
@@ -207,16 +206,17 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
       pending.clear();
     };
 
-    std::vector<std::byte> scratch(vbytes);
+    std::vector<std::byte> scratch(kSlotBytes);
     for (std::uint64_t k = 0; k < tr.requests_per_pe; ++k) {
       const sim::Time scheduled = arrivals.next(wrt);
-      const int target = targets.pick();
+      const auto rank = static_cast<int>(target_sampler.sample(target_stream));
+      const int target = rank < me ? rank : rank + 1;
       const std::uint64_t slot = slot_stream.next_below(slots);
       const std::uint64_t key =
           static_cast<std::uint64_t>(target) * slots + slot;
-      const OpKind op = tr.mix[op_sampler.sample(op_stream)].op;
-      const std::uint64_t size = tr.sizes[size_sampler.sample(size_stream)].bytes;
-      std::byte* remote = shard + slot * vbytes;
+      const auto op = static_cast<OpKind>(op_sampler.sample(op_stream));
+      const std::uint64_t size = kValueBytes[size_sampler.sample(size_stream)];
+      std::byte* remote = shard + slot * kSlotBytes;
 
       ++mine.requests_issued;
       mine.bytes_requested += size;
@@ -289,8 +289,8 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
     for (std::uint64_t slot = 0; slot < slots; ++slot) {
       const std::uint64_t key =
           static_cast<std::uint64_t>(me) * slots + slot;
-      for (std::uint64_t i = 0; i < vbytes; ++i) {
-        if (shard[slot * vbytes + i] !=
+      for (std::uint64_t i = 0; i < kSlotBytes; ++i) {
+        if (shard[slot * kSlotBytes + i] !=
             static_cast<std::byte>(kv_value_byte(key, i))) {
           ++mine.verify_errors;
           break;
@@ -304,7 +304,7 @@ ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
     shmem_finalize();
   });
 
-  return collect_reports(rt, spec.name, elapsed, /*compare_checksums=*/false);
+  return collect_reports(rt, "kv", elapsed, /*compare_checksums=*/false);
 }
 
 ScenarioReport run_stencil(shmem::Runtime& rt, const StencilSpec& spec,
@@ -318,7 +318,7 @@ ScenarioReport run_stencil(shmem::Runtime& rt, const StencilSpec& spec,
   }
 
   obs::Histogram* h_iter =
-      rt.obs().metrics.histogram("workload." + spec.name + ".latency_ns");
+      rt.obs().metrics.histogram("workload.stencil.latency_ns");
 
   const bool vertical = rows > 1;   // exchange north/south halos
   const bool horizontal = cols > 1; // exchange east/west halos
@@ -345,7 +345,7 @@ ScenarioReport run_stencil(shmem::Runtime& rt, const StencilSpec& spec,
     auto* west_in = static_cast<double*>(shmem_malloc(utr * sizeof(double)));
     auto* east_in = static_cast<double*>(shmem_malloc(utr * sizeof(double)));
 
-    Stream init(seed, spec.name + ".init.pe" + std::to_string(me));
+    Stream init(seed, "stencil.init.pe" + std::to_string(me));
     auto at = [&](std::vector<double>& t, std::size_t i,
                   std::size_t j) -> double& { return t[i * pitch + j]; };
     for (std::size_t i = 1; i <= utr; ++i) {
@@ -430,7 +430,7 @@ ScenarioReport run_stencil(shmem::Runtime& rt, const StencilSpec& spec,
     shmem_finalize();
   });
 
-  return collect_reports(rt, spec.name, elapsed, /*compare_checksums=*/true);
+  return collect_reports(rt, "stencil", elapsed, /*compare_checksums=*/true);
 }
 
 ScenarioReport run_allreduce(shmem::Runtime& rt, const AllreduceSpec& spec,
@@ -447,7 +447,7 @@ ScenarioReport run_allreduce(shmem::Runtime& rt, const AllreduceSpec& spec,
   }
 
   obs::Histogram* h_step =
-      rt.obs().metrics.histogram("workload." + spec.name + ".latency_ns");
+      rt.obs().metrics.histogram("workload.allreduce.latency_ns");
 
   // Closed form of the global gradient sum: gradients are exact small
   // integers, so float addition is exact in any association order.
@@ -479,14 +479,14 @@ ScenarioReport run_allreduce(shmem::Runtime& rt, const AllreduceSpec& spec,
     auto* acc = static_cast<float*>(shmem_malloc(elems * sizeof(float)));
     auto* acc2 = static_cast<float*>(shmem_malloc(elems * sizeof(float)));
     auto* out = static_cast<float*>(shmem_malloc(elems * sizeof(float)));
-    Stream compute(seed, spec.name + ".compute.pe" + std::to_string(me));
+    Stream compute(seed, "allreduce.compute.pe" + std::to_string(me));
     shmem_barrier_all();
 
     for (int step = 0; step < spec.steps; ++step) {
       const sim::Time t0 = wrt.clock_now();
       // Backward-pass skew: seeded exponential compute time.
       wrt.clock_wait_for(
-          static_cast<sim::Dur>(compute.next_exp(spec.compute_mean_ns)));
+          static_cast<sim::Dur>(compute.next_exp(kComputeMeanNs)));
       for (std::size_t i = 0; i < elems; ++i) {
         grad[i] = static_cast<float>(static_cast<std::size_t>(me % 8) +
                                      (i % 16) +
@@ -535,7 +535,7 @@ ScenarioReport run_allreduce(shmem::Runtime& rt, const AllreduceSpec& spec,
     shmem_finalize();
   });
 
-  return collect_reports(rt, spec.name, elapsed, /*compare_checksums=*/true);
+  return collect_reports(rt, "allreduce", elapsed, /*compare_checksums=*/true);
 }
 
 }  // namespace ntbshmem::workload

@@ -1,9 +1,9 @@
 // Application scenarios written against the SHMEM API, driven by the
 // seeded traffic engine. Each scenario:
 //   * runs SPMD inside an existing shmem::Runtime (the caller owns the
-//     options — topology, tuning, faults — so tests and benches sweep them),
-//   * samples per-request latency from sim time into the runtime's
-//     MetricsRegistry log2 histograms under "workload.<name>.latency_ns"
+//     options — backend, topology, tuning, faults),
+//   * samples per-request latency from the runtime's clock into its
+//     MetricsRegistry log2 histograms under "workload.<scenario>.latency_ns"
 //     (plus per-op families for the KV engine), and
 //   * returns a ScenarioReport whose conservation counters are seed-
 //     invariant and whose payloads are verified inline.
@@ -16,11 +16,11 @@
 namespace ntbshmem::workload {
 
 // Sharded key-value store. Requires npes >= 2. Serves
-// traffic.requests_per_pe requests on every PE: Zipf/uniform target shard,
-// uniform slot, weighted op mix (get / put / ctx put_nbi batches / put-with-
-// signal) and weighted value sizes. Values are a pure function of the key,
-// so gets verify their payload inline and the final heap is checked slot by
-// slot on every PE.
+// traffic.requests_per_pe requests on every PE: Zipf-0.99 target shard,
+// uniform slot, a 70/15/10/5 get / put / ctx put_nbi (batches of 4) /
+// put-with-signal mix, and 64 / 256 / 1024-byte values weighted 1:2:1.
+// Values are a pure function of the key, so gets verify their payload
+// inline and the final heap is checked slot by slot on every PE.
 ScenarioReport run_kv(shmem::Runtime& rt, const KvSpec& spec,
                       std::uint64_t seed);
 

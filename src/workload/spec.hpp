@@ -1,20 +1,18 @@
 // Workload specifications: the knobs that shape synthetic traffic.
 //
-// A TrafficSpec describes how requests arrive (open- vs closed-loop, fixed
-// or Poisson gaps), where they go (uniform or Zipf-skewed target PEs) and
-// what they are (a weighted op mix over put/get/put_nbi/put-with-signal/
-// context ops and a weighted size distribution). Scenario specs embed a
-// TrafficSpec plus their own shape parameters.
+// A TrafficSpec describes how many requests each PE issues and how they
+// arrive (open- vs closed-loop, fixed or Poisson gaps). Where they go and
+// what they are is fixed by the KV scenario itself (scenarios.cpp):
+// Zipf-0.99 target PEs, a 70/15/10/5 get/put/ctx-put_nbi/put-with-signal
+// mix and 64/256/1024-byte values. Scenario specs embed a TrafficSpec plus
+// their own shape parameters.
 //
-// Everything is plain data: specs hash into stable stream keys (rng.hpp),
-// so a (spec, seed) pair pins the whole traffic trace.
+// Everything is plain data, and every random draw comes from a stream keyed
+// by a stable string (rng.hpp), so a (spec, seed) pair pins the whole
+// traffic trace.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/units.hpp"
 
 namespace ntbshmem::workload {
 
@@ -32,67 +30,12 @@ enum class ArrivalProcess : std::uint8_t {
   kOpenPoisson,
 };
 
-// Target-PE selection. Zipf ranks order hot PEs by index (rank 0 hottest);
-// the issuing PE is always excluded by collapsing it out of the rank space.
-enum class TargetDist : std::uint8_t { kUniform, kZipf };
-
-// Request kinds the KV engine mixes. kCtxPutNbi issues put_nbi on the PE's
-// private communication context and completes batches with
-// shmem_ctx_quiet — the contexts-under-load path nothing else exercises.
-enum class OpKind : std::uint8_t {
-  kPut,
-  kGet,
-  kCtxPutNbi,
-  kPutSignal,
-};
-
-// One point of a discrete request-size distribution.
-struct SizePoint {
-  std::uint64_t bytes = 0;
-  double weight = 0.0;
-};
-
-struct OpMixEntry {
-  OpKind op = OpKind::kGet;
-  double weight = 0.0;
-};
-
 struct TrafficSpec {
   std::uint64_t requests_per_pe = 1024;
 
   ArrivalProcess arrival = ArrivalProcess::kClosedLoop;
   // Open-loop arrival rate per PE (requests per second of sim time).
   double rate_per_pe_hz = 20'000.0;
-
-  TargetDist targets = TargetDist::kZipf;
-  double zipf_theta = 0.99;  // YCSB default skew
-
-  // Read-heavy serving mix by default.
-  std::vector<OpMixEntry> mix = {
-      {OpKind::kGet, 0.70},
-      {OpKind::kPut, 0.15},
-      {OpKind::kCtxPutNbi, 0.10},
-      {OpKind::kPutSignal, 0.05},
-  };
-
-  // Small-object serving sizes (bytes of value payload).
-  std::vector<SizePoint> sizes = {
-      {64, 0.25},
-      {256, 0.50},
-      {1024, 0.25},
-  };
-
-  // Outstanding put_nbi requests per private context before a ctx_quiet
-  // completes the batch.
-  int nbi_batch = 4;
-
-  std::uint64_t max_size() const {
-    std::uint64_t m = 0;
-    for (const SizePoint& p : sizes) {
-      if (p.bytes > m) m = p.bytes;
-    }
-    return m;
-  }
 };
 
 // ---- Scenario shapes ---------------------------------------------------------
@@ -104,7 +47,6 @@ struct TrafficSpec {
 struct KvSpec {
   TrafficSpec traffic;
   int slots_per_pe = 256;
-  std::string name = "kv";
 };
 
 // 2-D halo-exchange stencil (Jacobi) on the widest rows x cols
@@ -115,21 +57,17 @@ struct StencilSpec {
   int iterations = 32;
   int tile_rows = 32;
   int tile_cols = 32;
-  std::string name = "stencil";
 };
 
 // Allreduce-dominated training step: world splits into `groups` strided
 // data-parallel teams; each step draws a seeded compute time (backward-pass
-// skew), sum-reduces the gradient inside the group, then the group leaders
-// reduce across groups and broadcast back down. Per-step latency is the
-// SLO sample.
+// skew, exponential with a 200 us mean), sum-reduces the gradient inside
+// the group, then the group leaders reduce across groups and broadcast back
+// down. Per-step latency is the SLO sample.
 struct AllreduceSpec {
   int steps = 16;
   int gradient_elems = 4096;  // floats
   int groups = 2;
-  // Mean of the exponential per-step compute time, sim nanoseconds.
-  double compute_mean_ns = 200'000.0;
-  std::string name = "allreduce";
 };
 
 }  // namespace ntbshmem::workload

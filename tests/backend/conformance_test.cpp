@@ -312,6 +312,73 @@ TEST(BackendConformance, AtomicPostRejectsFetchingOps) {
   });
 }
 
+// 1 when `op` throws E, else 0.
+template <typename E, typename Op>
+std::uint64_t throws(const Op& op) {
+  try {
+    op();
+  } catch (const E&) {
+    return 1;
+  } catch (...) {
+    return 0;
+  }
+  return 0;
+}
+
+TEST(BackendConformance, MisuseThrowsInTheCallingPe) {
+  // PE 0 of a 3-PE run misuses remote operations: a heap overrun by put,
+  // get and atomic, a misaligned and a 3-byte atomic, and a put to an
+  // unknown PE. Each must throw its class in PE 0 itself (not in the
+  // target's rx service, from where it would escape Runtime::run), apply
+  // nothing, and leave the run able to finish. Each PE publishes a bit per
+  // case that threw as required, plus bit 6 when its two words are still
+  // zero.
+  constexpr std::uint64_t kBeyond = std::uint64_t{1} << 40;
+  constexpr int kFar = 2;  // two hops from PE 0 on the paper's ring
+  constexpr std::uint64_t kClean = 1u << 6;
+  for (const Kind kind : {Kind::kSim, Kind::kShm}) {
+    const std::vector<std::uint64_t> results = run_and_collect(kind, 3, [] {
+      shmem_init();
+      Context& ctx = *Runtime::current();
+      auto* words = static_cast<std::uint64_t*>(
+          shmem_calloc(2, sizeof(std::uint64_t)));
+      const std::uint64_t base = ctx.symmetric_offset(words);
+      std::uint64_t bits = 0;
+      if (shmem_my_pe() == 0) {
+        Channel& ch = ctx.chan();
+        std::byte buf[64] = {};
+        bits |= throws<std::out_of_range>([&] {
+          ch.put(kBeyond, buf, kFar, ctx.default_domain());
+        });
+        bits |= throws<std::out_of_range>([&] { ch.get(kBeyond, buf, kFar); })
+                << 1;
+        bits |= throws<std::out_of_range>([&] {
+          ch.atomic(AtomicOp::kFetchAdd, kBeyond, kFar, 8, 1, 0);
+        }) << 2;
+        bits |= throws<std::invalid_argument>([&] {
+          ch.atomic(AtomicOp::kFetchAdd, base + 4, 1, 8, 1, 0);
+        }) << 3;
+        bits |= throws<std::invalid_argument>([&] {
+          ch.atomic(AtomicOp::kAdd, base, 1, 3, 1, 0);
+        }) << 4;
+        bits |= throws<std::out_of_range>([&] {
+          ch.put(base, buf, 3, ctx.default_domain());
+        }) << 5;
+        ctx.quiet();
+      }
+      shmem_barrier_all();
+      if (words[0] == 0 && words[1] == 0) bits |= kClean;
+      publish_hash(bits);
+      shmem_barrier_all();
+      shmem_free(words);
+      shmem_finalize();
+    });
+    EXPECT_EQ(results, (std::vector<std::uint64_t>{kClean | 0x3f, kClean,
+                                                   kClean}))
+        << kind_name(kind);
+  }
+}
+
 TEST(BackendConformance, TeamsAndCollectivesMatch) {
   expect_backends_agree(kNpes, [] {
     shmem_init();

@@ -338,7 +338,7 @@ TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
   engine_.run();
   // The burst ends at 3.2us inside the outage, polls once per retry
   // interval and lands at the first poll that finds the link retrained.
-  EXPECT_EQ(done, 8 * pc.reg_write + pc.link_retry_interval);
+  EXPECT_EQ(done, 8 * pc.reg_write + kLinkRetryInterval);
   const auto latched = b.pop_latched_frame().regs;
   for (std::size_t i = 0; i < kHeader.size(); ++i) {
     EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;

@@ -155,7 +155,7 @@ TEST(ExploreRace, PathLimitTruncatesHonestly) {
 TEST(ExploreParity, DefaultScriptMatchesUnhookedDigest) {
   const auto run = [](BranchHook* hook) {
     Engine eng;
-    eng.enable_schedule_digest(true);
+    eng.enable_schedule_digest();
     for (int p = 0; p < 3; ++p) {
       eng.spawn(numbered("p", p), [&eng] {
         for (int step = 0; step < 4; ++step) {

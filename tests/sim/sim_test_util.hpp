@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/audit.hpp"
+#include "common/splitmix.hpp"
 #include "sim/branch.hpp"
 
 namespace ntbshmem::sim::testing {
@@ -30,9 +30,7 @@ class SeededTiebreakHook final : public BranchHook {
   explicit SeededTiebreakHook(std::uint64_t seed) : state_(seed) {}
 
   std::size_t choose_dispatch(std::size_t n) override {
-    const std::uint64_t draw = splitmix64_mix(state_);
-    state_ += 0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>(draw % n);
+    return static_cast<std::size_t>(splitmix::next(state_) % n);
   }
   bool choose_fault(int /*site*/, const std::string& /*key*/) override {
     return false;
