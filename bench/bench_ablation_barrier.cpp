@@ -27,9 +27,6 @@ RuntimeOptions options(int npes) {
   RuntimeOptions opts;
   opts.npes = npes;
   opts.completion = CompletionMode::kLocalDma;
-  opts.symheap_chunk_bytes = 1u << 20;
-  opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 16u << 20;
   ObsCli::instance().apply(opts);
   return opts;
 }

@@ -26,9 +26,6 @@ RuntimeOptions options(std::uint64_t chunk) {
   opts.npes = 3;
   opts.completion = CompletionMode::kLocalDma;
   opts.timing.bypass_chunk_bytes = chunk;
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 32u << 20;
   ObsCli::instance().apply(opts);
   return opts;
 }

@@ -33,9 +33,6 @@ RuntimeOptions options(double loss) {
   opts.completion = CompletionMode::kFullDelivery;
   opts.tuning = TransportTuning::reliable(TransportTuning{});
   opts.tuning.reliability.ack_timeout = 500'000;  // 500us (see header)
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 64u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   opts.faults.doorbell_drop = loss;
   opts.faults.scratchpad_corrupt = loss / 5.0;  // header hits -> NAK path

@@ -28,10 +28,6 @@ RuntimeOptions options(int per_host) {
   opts.npes = kHosts * per_host;
   opts.pes_per_host = per_host;
   opts.completion = CompletionMode::kLocalDma;
-  opts.symheap_chunk_bytes = 1u << 20;
-  opts.symheap_max_bytes = 4u << 20;
-  opts.host_memory_bytes =
-      (static_cast<std::uint64_t>(per_host) * 6 + 16) << 20;
   ObsCli::instance().apply(opts);
   return opts;
 }

@@ -54,9 +54,6 @@ RuntimeOptions options(const TransportTuning& tuning) {
   opts.routing = fabric::RoutingMode::kRightOnly;
   opts.completion = CompletionMode::kFullDelivery;
   opts.tuning = tuning;
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 64u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   ObsCli::instance().apply(opts);
   return opts;

@@ -22,7 +22,6 @@ fabric::FabricConfig config(int hosts) {
   fabric::FabricConfig cfg;
   cfg.num_hosts = hosts;
   cfg.timing = paper_testbed();
-  cfg.host_memory_bytes = 8ull << 20;
   cfg.link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
   return cfg;
 }

@@ -97,8 +97,6 @@ RuntimeOptions base_options() {
   RuntimeOptions opts;
   opts.data_path = DataPath::kDma;
   opts.completion = CompletionMode::kFullDelivery;
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 8u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   ObsCli::instance().apply(opts);
   return opts;

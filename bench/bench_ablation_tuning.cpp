@@ -30,9 +30,6 @@ RuntimeOptions options(const TimingParams& timing) {
   opts.npes = 3;
   opts.timing = timing;
   opts.completion = CompletionMode::kLocalDma;
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 64u << 20;
   // Uniform link rate so the presets differ only in the studied knobs.
   opts.link_dma_rates_Bps = {timing.dma_rate_Bps};
   ObsCli::instance().apply(opts);

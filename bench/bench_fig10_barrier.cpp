@@ -27,9 +27,6 @@ RuntimeOptions fig10_options(DataPath path) {
   opts.data_path = path;
   opts.completion = CompletionMode::kLocalDma;
   opts.routing = fabric::RoutingMode::kRightOnly;
-  opts.symheap_chunk_bytes = 2u << 20;
-  opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 64u << 20;
   ObsCli::instance().apply(opts);
   return opts;
 }

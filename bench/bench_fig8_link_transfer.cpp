@@ -26,7 +26,6 @@ fabric::FabricConfig fig8_config() {
   fabric::FabricConfig cfg;
   cfg.num_hosts = kHosts;
   cfg.timing = paper_testbed();
-  cfg.host_memory_bytes = 16ull << 20;
   // Per-chipset spread observed in the paper (Fig. 8a-c differ per pair).
   cfg.link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
   return cfg;

@@ -15,11 +15,11 @@
 #
 # Model mode regenerates BENCH_model.json from BUILD_DIR's benches. It holds
 # virtual-time outputs only, which are exact: the Fig. 8(d), Fig. 9 and
-# Fig. 10 tables and the A7 fault table as the benches print them, the A6
-# pipeline and A9 topology ablation JSON, the schedule digest and the
-# dispatches per request of CI's slo16.kv config, which pin its KV traffic
-# exactly, and the schedule digest and dispatch count of CI's slo16drop KV
-# config, which pin the fault path. CI's perf-ledger job
+# Fig. 10 tables and the A1-A5 and A7 ablation tables as the benches print
+# them, the A6 pipeline and A9 topology ablation JSON, the schedule digest
+# and the dispatches per request of CI's slo16.kv config, which pin its KV
+# traffic exactly, and the schedule digest and dispatch count of CI's
+# slo16drop KV config, which pin the fault path. CI's perf-ledger job
 # regenerates it and fails on any difference.
 set -euo pipefail
 
@@ -43,6 +43,11 @@ model_ledger() {
     "$build/bench/bench_fig8_link_transfer" >fig8.txt
     "$build/bench/bench_fig9_putget" >fig9.txt
     "$build/bench/bench_fig10_barrier" >fig10.txt
+    "$build/bench/bench_ablation_ringsize" >a1.txt
+    "$build/bench/bench_ablation_barrier" >a2.txt
+    "$build/bench/bench_ablation_bypass" >a3.txt
+    "$build/bench/bench_ablation_tuning" >a4.txt
+    "$build/bench/bench_ablation_multipe" >a5.txt
     "$build/bench/bench_ablation_pipeline" >/dev/null
     "$build/bench/bench_ablation_topology" >/dev/null
     "$build/bench/bench_ablation_faults" >faults.txt
@@ -87,6 +92,11 @@ model = {
     "fig8d": tables("fig8.txt", "Fig 8(d)"),
     "fig9": tables("fig9.txt", "Fig 9"),
     "fig10": tables("fig10.txt", "Fig 10"),
+    "a1_ringsize": tables("a1.txt", "Ablation A1"),
+    "a2_barrier": tables("a2.txt", "Ablation A2"),
+    "a3_bypass": tables("a3.txt", "Ablation A3"),
+    "a4_tuning": tables("a4.txt", "Ablation A4"),
+    "a5_multipe": tables("a5.txt", "Ablation A5"),
     "a6_pipeline": load("bench_ablation_pipeline.json"),
     "a7_faults": tables("faults.txt", "Ablation A7"),
     "a9_topology": load("bench_ablation_topology.json"),

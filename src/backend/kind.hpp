@@ -4,7 +4,7 @@
 //   kSim — the discrete-event simulated NTB ring fabric (the default, and
 //          the only backend with virtual time, fault injection, tracing and
 //          the model checker);
-//   kShm — real fork()ed processes sharing a POSIX shm segment: puts are
+//   kShm — real fork()ed processes over one shared-memory segment: puts are
 //          memcpy through the mapped peer heap, doorbells are futexes, and
 //          every latency is a wall-clock number.
 // The caller names the backend in RuntimeOptions::backend.

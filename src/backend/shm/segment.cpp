@@ -1,9 +1,6 @@
 #include "backend/shm/segment.hpp"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -32,32 +29,16 @@ Segment::Segment(int npes, std::uint64_t heap_slice_bytes)
                           static_cast<std::size_t>(npes_) * sizeof(PeControl));
   total_ = heaps_off_ + static_cast<std::size_t>(npes_) * slice_;
 
-  // A name unique to this process: the object lives under it only for the
-  // microseconds until the unlink below, so pid + a per-process counter is
-  // collision-free (two Runtimes in one process get distinct counters).
-  // detlint:allow(no-mutable-static): per-process shm-name counter; the name must differ between two live Segments in one process and never feeds any deterministic result
-  static unsigned g_seq = 0;
-  const std::string name = "/ntbshmem." + std::to_string(getpid()) + "." +
-                           std::to_string(g_seq++);
-  const int fd =
-      shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, S_IRUSR | S_IWUSR);
-  if (fd < 0) fail("shm_open(" + name + ")");
-  if (ftruncate(fd, static_cast<off_t>(total_)) != 0) {
-    shm_unlink(name.c_str());
-    close(fd);
-    fail("ftruncate to " + std::to_string(total_) + " bytes");
-  }
-  void* map = mmap(nullptr, total_, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  // The mapping keeps the object alive for this process and every child
-  // forked later; unlinking now means nothing is left in /dev/shm if the
-  // run is killed at any point.
-  shm_unlink(name.c_str());
-  close(fd);
+  // One shared anonymous mapping: every child forked later inherits it,
+  // and with no name there is nothing to unlink or to leak if the run is
+  // killed.
+  void* map = mmap(nullptr, total_, PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED) fail("mmap of " + std::to_string(total_) + " bytes");
   base_ = static_cast<std::byte*>(map);
 
-  // A pre-fault, not a zero-fill: a fresh O_EXCL object already reads as
-  // zero. Writing every page commits the segment here, in the parent,
+  // A pre-fault, not a zero-fill: a fresh anonymous mapping already reads
+  // as zero. Writing every page commits the segment here, in the parent,
   // before fork. Left to first touch, the forked PEs allocate those pages
   // concurrently inside the timed run; measured on shm_kv4 (4 PEs, Release,
   // 4 cores), setup fell from 0.095 to 0.0001 s but requests/s fell 17-21%

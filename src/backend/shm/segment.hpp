@@ -1,19 +1,18 @@
 // The shared segment of the real-process backend (DESIGN.md §4j).
 //
-// PE 0's parent process lays out one POSIX shm object and mmap()s it
-// MAP_SHARED *before* forking the PE processes, so every child inherits the
-// mapping at the same virtual address — cross-PE puts are plain memcpy into
-// the peer's heap slice, no address translation beyond the symmetric-heap
-// offset (the same offset addressing as the paper's Fig. 3(b), with the NTB
-// BAR window replaced by the segment mapping).
+// PE 0's parent process lays out one shared anonymous mapping
+// (MAP_SHARED | MAP_ANONYMOUS) *before* forking the PE processes, so every
+// child inherits it at the same virtual address — cross-PE puts are plain
+// memcpy into the peer's heap slice, no address translation beyond the
+// symmetric-heap offset (the same offset addressing as the paper's
+// Fig. 3(b), with the NTB BAR window replaced by the segment mapping).
 //
 //   [SegmentHeader]                 abort flag, barrier generation/count
 //   [PeControl x npes]              per-PE doorbell, flight ring, outboxes
 //   [heap slice x npes]             page-aligned symmetric-heap storage
 //
-// The object is shm_unlink()ed immediately after creation: the mapping
-// keeps it alive for parent + children, and nothing leaks into /dev/shm if
-// the run dies (the name exists only for the fork window of ~0 ms).
+// The mapping has no name: it lives as long as parent or children map it,
+// and nothing can leak into /dev/shm if the run dies.
 #pragma once
 
 #include <cstddef>
@@ -93,8 +92,7 @@ class Segment {
  public:
   // Lays out a segment for `npes` PEs with `heap_slice_bytes` of symmetric
   // heap each and commits every page of it before any PE is forked (see the
-  // constructor for why). Throws std::runtime_error on
-  // shm_open/ftruncate/mmap failure.
+  // constructor for why). Throws std::runtime_error on mmap failure.
   Segment(int npes, std::uint64_t heap_slice_bytes);
   ~Segment();
   Segment(const Segment&) = delete;

@@ -1,5 +1,5 @@
 // Real-process shared-memory backend (DESIGN.md §4j): every PE is a
-// fork()ed OS process, the symmetric heaps live in one POSIX shm segment
+// fork()ed OS process, the symmetric heaps live in one shared-memory segment
 // laid out before the fork, and puts/gets are memcpy into the peer's mapped
 // heap slice with release/acquire fencing. Doorbells are futex words;
 // barriers are a central generation futex; a parent-side liveness watchdog

@@ -8,19 +8,6 @@ namespace ntbshmem::fabric {
 
 namespace {
 
-ntb::PortConfig port_config_from(const TimingParams& t, double dma_rate,
-                                 int vector_base, bool resilient) {
-  ntb::PortConfig cfg;
-  cfg.dma_rate_Bps = dma_rate;
-  cfg.pio_write_Bps = t.pio_write_Bps;
-  cfg.dma_setup = t.dma_setup;
-  cfg.reg_write = t.reg_access;
-  cfg.reg_read = 2 * t.reg_access;  // non-posted read round trip
-  cfg.vector_base = vector_base;
-  cfg.retry_on_link_down = resilient;
-  return cfg;
-}
-
 const char* mode_slug(RoutingMode mode) {
   switch (mode) {
     case RoutingMode::kRightOnly:
@@ -65,12 +52,10 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
     // Every port spans 16 doorbell vectors (vector base 16 * port index),
     // so a host's interrupt controller must cover 16 * degree vectors.
     // Ring hosts keep the legacy 32-vector controller.
-    host::HostConfig host_cfg =
-        host::host_config_from(config_.timing, config_.host_memory_bytes);
-    host_cfg.num_vectors =
+    hosts_.push_back(std::make_unique<host::Host>(
+        engine, i, config_.timing,
         std::max(host::InterruptController::kNumVectors,
-                 16 * topology_.degree(i));
-    hosts_.push_back(std::make_unique<host::Host>(engine, i, host_cfg));
+                 16 * topology_.degree(i))));
     ports_[static_cast<std::size_t>(i)].resize(
         static_cast<std::size_t>(topology_.degree(i)));
   }
@@ -93,16 +78,14 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
     const PortSpec& pb = topology_.port(ls.host_b, ls.port_b);
     auto end_a = std::make_unique<ntb::NtbPort>(
         engine, *hosts_[static_cast<std::size_t>(ls.host_a)],
-        "host" + std::to_string(ls.host_a) + "." + pa.name,
-        port_config_from(config_.timing, dma_rate,
-                         /*vector_base=*/16 * ls.port_a,
-                         config_.resilient_links));
+        "host" + std::to_string(ls.host_a) + "." + pa.name, config_.timing,
+        ntb::PortConfig{dma_rate, /*vector_base=*/16 * ls.port_a,
+                        config_.resilient_links});
     auto end_b = std::make_unique<ntb::NtbPort>(
         engine, *hosts_[static_cast<std::size_t>(ls.host_b)],
-        "host" + std::to_string(ls.host_b) + "." + pb.name,
-        port_config_from(config_.timing, dma_rate,
-                         /*vector_base=*/16 * ls.port_b,
-                         config_.resilient_links));
+        "host" + std::to_string(ls.host_b) + "." + pb.name, config_.timing,
+        ntb::PortConfig{dma_rate, /*vector_base=*/16 * ls.port_b,
+                        config_.resilient_links});
     ntb::NtbPort::connect(*end_a, *end_b, *link);
     ports_[static_cast<std::size_t>(ls.host_a)]
           [static_cast<std::size_t>(ls.port_a)] = std::move(end_a);

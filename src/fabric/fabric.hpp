@@ -31,7 +31,6 @@ struct FabricConfig {
   // Wiring diagram; the default (ring) is the paper's prototype.
   TopologySpec topology;
   TimingParams timing;
-  std::uint64_t host_memory_bytes = 64ull << 20;
   // Per-link DMA engine rate overrides (bytes/s), cycled over the links in
   // link-construction order: link i uses entry i % size(). When the fabric
   // has more links than entries the spread simply repeats — that is the

@@ -6,19 +6,10 @@
 #include <stdexcept>
 
 #include "common/fnv.hpp"
-#include "common/splitmix.hpp"
 
 namespace ntbshmem::fabric {
 
 namespace {
-
-// Tie-break key for a candidate egress port: seed 0 preserves port-index
-// order (on the ring: port 0 = right wins ties, the legacy behaviour); a
-// non-zero seed permutes the preference deterministically.
-std::uint64_t port_key(std::uint64_t seed, int port) {
-  if (seed == 0) return static_cast<std::uint64_t>(port);
-  return splitmix::mix(seed ^ static_cast<std::uint64_t>(port + 1));
-}
 
 // Unweighted BFS distance from every host to `dst` over the port graph.
 std::vector<int> bfs_dist_to(const Topology& topo, int dst) {
@@ -77,13 +68,11 @@ std::uint64_t RoutingTable::digest() const {
   return h;
 }
 
-RoutingTable RoutingTable::build(const Topology& topo, RoutingMode mode,
-                                 std::uint64_t tiebreak_seed) {
+RoutingTable RoutingTable::build(const Topology& topo, RoutingMode mode) {
   const int n = topo.num_hosts();
   RoutingTable t;
   t.mode_ = mode;
   t.num_hosts_ = n;
-  t.tiebreak_seed_ = tiebreak_seed;
   const std::size_t cells =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   t.next_port_.assign(cells, -1);
@@ -121,17 +110,13 @@ RoutingTable RoutingTable::build(const Topology& topo, RoutingMode mode,
           if (dist[static_cast<std::size_t>(s)] < 0) {
             throw std::logic_error("RoutingTable: topology is disconnected");
           }
+          // Ties go to the lowest port index (on the ring: port 0, right).
           int best = -1;
-          std::uint64_t best_key = 0;
           for (const PortSpec& p : topo.ports(s)) {
-            if (dist[static_cast<std::size_t>(p.peer_host)] !=
-                dist[static_cast<std::size_t>(s)] - 1) {
-              continue;
-            }
-            const std::uint64_t key = port_key(tiebreak_seed, p.index);
-            if (best < 0 || key < best_key) {
+            if (dist[static_cast<std::size_t>(p.peer_host)] ==
+                    dist[static_cast<std::size_t>(s)] - 1 &&
+                (best < 0 || p.index < best)) {
               best = p.index;
-              best_key = key;
             }
           }
           t.next_port_[cell(s, d)] = best;

@@ -8,10 +8,10 @@
 //   kRightOnly       — paper-faithful ring rule: every request travels
 //                      rightward (port 0), responses travel leftward
 //                      (port 1). Only valid on ring-like topologies.
-//   kShortest        — BFS shortest path on the host graph with a fixed,
-//                      seedable tie-break over the candidate egress ports.
-//                      Seed 0 picks the lowest port index, which on the
-//                      ring reproduces the legacy "ties go right".
+//   kShortest        — BFS shortest path on the host graph; ties between
+//                      equally short egress ports go to the lowest port
+//                      index, which on the ring reproduces the legacy
+//                      "ties go right".
 //   kDimensionOrder  — torus-only deadlock-free mode: correct the X
 //                      coordinate fully, then Y, never crossing a wrap
 //                      cable. Monotonic dimension order makes the channel
@@ -39,15 +39,12 @@ struct PortRoute {
 
 class RoutingTable {
  public:
-  // Precompute all (src, dst) routes. `tiebreak_seed` perturbs which of
-  // several equally short egress ports wins (0 = lowest port index);
-  // every seed yields a fully deterministic table.
-  static RoutingTable build(const Topology& topo, RoutingMode mode,
-                            std::uint64_t tiebreak_seed = 0);
+  // Precompute all (src, dst) routes: a pure function of the topology
+  // and the mode.
+  static RoutingTable build(const Topology& topo, RoutingMode mode);
 
   RoutingMode mode() const { return mode_; }
   int num_hosts() const { return num_hosts_; }
-  std::uint64_t tiebreak_seed() const { return tiebreak_seed_; }
 
   // Egress port on `src` for request traffic towards `dst` (-1 when
   // src == dst), and the total hop count of that path.
@@ -85,7 +82,6 @@ class RoutingTable {
 
   RoutingMode mode_ = RoutingMode::kRightOnly;
   int num_hosts_ = 0;
-  std::uint64_t tiebreak_seed_ = 0;
   int diameter_ = 0;
   std::vector<int> next_port_;
   std::vector<int> hops_;

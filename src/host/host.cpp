@@ -2,23 +2,14 @@
 
 namespace ntbshmem::host {
 
-Host::Host(sim::Engine& engine, HostId id, const HostConfig& config)
+Host::Host(sim::Engine& engine, HostId id, const TimingParams& timing,
+           int num_vectors)
     : engine_(engine),
       id_(id),
       name_("host" + std::to_string(id)),
-      memory_(config.memory_bytes, name_ + ".ram"),
-      bus_(engine, name_ + ".bus", config.bus_Bps),
-      interrupts_(engine, name_ + ".irq", config.isr_latency,
-                  config.isr_dispatch, config.num_vectors) {}
-
-HostConfig host_config_from(const TimingParams& params,
-                            std::uint64_t memory_bytes) {
-  HostConfig cfg;
-  cfg.memory_bytes = memory_bytes;
-  cfg.bus_Bps = params.host_bus_Bps;
-  cfg.isr_latency = params.intr_delivery;
-  cfg.isr_dispatch = params.isr_handling;
-  return cfg;
-}
+      memory_(kArenaBytes, name_ + ".ram"),
+      bus_(engine, name_ + ".bus", timing.host_bus_Bps),
+      interrupts_(engine, name_ + ".irq", timing.intr_delivery,
+                  timing.isr_handling, num_vectors) {}
 
 }  // namespace ntbshmem::host

@@ -3,11 +3,13 @@
 // Matches the paper's testbed node: a single-CPU host with DRAM, a memory
 // bus shared by the NTB DMA traffic, an interrupt controller, and (added
 // by the fabric) two NTB host adapters. One OpenSHMEM PE runs per host,
-// as in the paper's 3-node prototype.
+// as in the paper's 3-node prototype. The bus rate and the interrupt path
+// come from the one calibration table, TimingParams; every host's DRAM is
+// a kArenaBytes reservation that costs only the pages a run touches
+// (DESIGN.md §4f).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/timing_params.hpp"
@@ -20,20 +22,16 @@ namespace ntbshmem::host {
 
 using HostId = int;
 
-struct HostConfig {
-  std::uint64_t memory_bytes = 64ull << 20;  // arena for heaps and buffers
-  double bus_Bps = 5.2e9;                    // TimingParams::host_bus_Bps
-  sim::Dur isr_latency = 15'000;             // TimingParams::intr_delivery
-  sim::Dur isr_dispatch = 5'000;             // TimingParams::isr_handling
-  // Interrupt vectors the controller exposes: 16 per NTB adapter. The
-  // default covers the paper's two-adapter ring host; the fabric raises
-  // it for higher-degree topologies (torus, mesh).
-  int num_vectors = InterruptController::kNumVectors;
-};
+// Every host's arena for heap chunks, staging areas and scratch space.
+inline constexpr std::uint64_t kArenaBytes = 96ull << 20;
 
 class Host {
  public:
-  Host(sim::Engine& engine, HostId id, const HostConfig& config);
+  // `num_vectors`: interrupt vectors the controller exposes, 16 per NTB
+  // adapter. The default covers the paper's two-adapter ring host; the
+  // fabric raises it for higher-degree topologies (torus, mesh).
+  Host(sim::Engine& engine, HostId id, const TimingParams& timing,
+       int num_vectors = InterruptController::kNumVectors);
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
@@ -55,9 +53,5 @@ class Host {
   sim::BandwidthResource bus_;
   InterruptController interrupts_;
 };
-
-// Convenience: build a HostConfig from the global timing calibration.
-HostConfig host_config_from(const TimingParams& params,
-                            std::uint64_t memory_bytes = 64ull << 20);
 
 }  // namespace ntbshmem::host

@@ -9,8 +9,14 @@
 namespace ntbshmem::ntb {
 
 NtbPort::NtbPort(sim::Engine& engine, host::Host& local, std::string name,
-                 const PortConfig& config)
-    : engine_(engine), local_(local), name_(std::move(name)), config_(config) {
+                 const TimingParams& timing, const PortConfig& config)
+    : engine_(engine),
+      local_(local),
+      name_(std::move(name)),
+      pio_write_Bps_(timing.pio_write_Bps),
+      dma_setup_(timing.dma_setup),
+      reg_write_(timing.reg_access),
+      config_(config) {
   if (obs::Hub* hub = engine.obs()) {
     tracer_ = &hub->tracer;
     obs_track_ = tracer_->track(local_.name(), name_);
@@ -131,7 +137,7 @@ bool NtbPort::dma_write(int idx, std::uint64_t off,
                          engine_.now(), span_id);
   }
   await_link_up();
-  if (!descriptor_prefetched) engine_.wait_for(config_.dma_setup);
+  if (!descriptor_prefetched) engine_.wait_for(dma_setup_);
   if (sim::FaultPlan* plan = engine_.faults()) {
     // Descriptor rejected at fetch time: the engine sets its error status
     // bit and transfers nothing (the setup/poll time was already spent).
@@ -161,7 +167,7 @@ bool NtbPort::dma_write(int idx, std::uint64_t off,
 }
 
 void NtbPort::clear_dma_error() {
-  engine_.wait_for(config_.reg_write);
+  engine_.wait_for(reg_write_);
   dma_error_latched_ = false;
 }
 
@@ -171,7 +177,7 @@ void NtbPort::pio_write(int idx, std::uint64_t off,
   const WindowTarget w = require_mapped(idx, "pio_write");
   await_link_up();
   transfer_path(local_, *w.peer_host, link_->direction_from(end_), end_,
-                src.size(), config_.pio_write_Bps);
+                src.size(), pio_write_Bps_);
   auto dst = w.peer_host->memory().bytes(w.region, off, src.size());
   std::memcpy(dst.data(), src.data(), src.size());
   obs_pio_bytes_->add(src.size());
@@ -192,7 +198,7 @@ void NtbPort::post(int first, std::span<const std::uint32_t> regs,
   const sim::Time t0 = engine_.now();
   const std::uint64_t down_edges = link_->down_edges();
   engine_.wait_for(static_cast<sim::Dur>(n + (ring ? 1 : 0)) *
-                   config_.reg_write);
+                   reg_write_);
   if (link_->down_edges() != down_edges) {
     // The link dropped somewhere inside the burst: nothing has landed yet,
     // so fail (or wait for retraining) exactly as a single write would.
@@ -207,7 +213,7 @@ void NtbPort::post(int first, std::span<const std::uint32_t> regs,
       // posted write completed but the stored word is damaged. The
       // transport detects this via its frame checksum (reg 7) and NAKs.
       std::uint32_t mask = 0;
-      if (plan->corrupt_scratchpad(t0 + (i + 1) * config_.reg_write, name_,
+      if (plan->corrupt_scratchpad(t0 + (i + 1) * reg_write_, name_,
                                    first + i, &mask)) {
         stored ^= mask;
       }

@@ -15,7 +15,10 @@
 //
 // Timing: every data-movement and register method blocks the calling
 // simulated process for the modeled duration; data becomes visible in the
-// peer's memory at completion time. ScratchPad writes and doorbells are
+// peer's memory at completion time. The durations and rates come from the
+// TimingParams calibration the port is built from; a PortConfig carries
+// only what differs from port to port (the link's DMA rate, the doorbell
+// vector base, link-down behaviour). ScratchPad writes and doorbells are
 // posted writes, so a burst of them (post) blocks once, for all of its
 // writes back to back, and its registers land together just before its
 // doorbell. Interrupt handlers run in scheduler context and must not call
@@ -31,6 +34,7 @@
 #include <string>
 
 #include "common/fnv.hpp"
+#include "common/timing_params.hpp"
 #include "host/host.hpp"
 #include "obs/hub.hpp"
 #include "pcie/link.hpp"
@@ -63,12 +67,11 @@ struct WindowTarget {
   bool mapped() const { return peer_host != nullptr && region.valid(); }
 };
 
+// What differs between two ports of one fabric; everything else is the
+// TimingParams calibration the port is built from.
 struct PortConfig {
-  double dma_rate_Bps = 3.0e9;     // engine peak (per-link override point)
-  double pio_write_Bps = 125e6;
-  sim::Dur dma_setup = 3'000;      // descriptor program + completion poll
-  sim::Dur reg_write = 400;        // posted 32-bit register write
-  sim::Dur reg_read = 800;         // non-posted 32-bit register read
+  // DMA engine peak: the per-link chipset override point.
+  double dma_rate_Bps = TimingParams{}.dma_rate_Bps;
   // First interrupt vector on the local host used by this port's doorbells.
   // The fabric assigns base 16 * port_index — a ring host's two adapters
   // get 0 and 16; higher-degree topologies continue at 32, 48, ...
@@ -84,7 +87,7 @@ struct PortConfig {
 class NtbPort {
  public:
   NtbPort(sim::Engine& engine, host::Host& local, std::string name,
-          const PortConfig& config);
+          const TimingParams& timing, const PortConfig& config);
   NtbPort(const NtbPort&) = delete;
   NtbPort& operator=(const NtbPort&) = delete;
 
@@ -97,6 +100,10 @@ class NtbPort {
   const std::string& name() const { return name_; }
   const PortConfig& config() const { return config_; }
   pcie::Link& link() const;
+  // One posted 32-bit register write (TimingParams::reg_access), and one
+  // non-posted read: a round trip, twice the write.
+  sim::Dur reg_write() const { return reg_write_; }
+  sim::Dur reg_read() const { return 2 * reg_write_; }
 
   // ---- BAR windows ---------------------------------------------------------
   // Programs the translation registers of window `idx` to land on `region`
@@ -108,7 +115,7 @@ class NtbPort {
   // ---- Data movement (blocking, process context) ----------------------------
   // DMA write: local memory -> peer memory through window `idx` at `off`.
   // `descriptor_prefetched` skips the per-descriptor setup/poll charge
-  // (PortConfig::dma_setup): the descriptor was programmed ahead of time
+  // (TimingParams::dma_setup): the descriptor was programmed ahead of time
   // while the previous transfer was draining (TransportTuning's overlapped
   // segment setup); the software layer accounts for the prefetch cost.
   // Returns false when the attached FaultPlan rejects the descriptor: the
@@ -151,7 +158,7 @@ class NtbPort {
   // credit-based frame pipelining: with one frame in flight the latched
   // snapshot always equals the live bank, so enabling it is behaviour- and
   // timing-neutral for the paper-faithful handshake. Snapshot reads are
-  // charged by the caller (PortConfig::reg_read per register).
+  // charged by the caller (reg_read() per register).
   void set_latch_bits(std::uint16_t mask) { latch_bits_ = mask; }
 
   // ---- Causal-trace sidecar -------------------------------------------------
@@ -214,6 +221,9 @@ class NtbPort {
   sim::Engine& engine_;
   host::Host& local_;
   std::string name_;
+  const double pio_write_Bps_;
+  const sim::Dur dma_setup_;
+  const sim::Dur reg_write_;
   PortConfig config_;
   NtbPort* peer_ = nullptr;
   pcie::Link* link_ = nullptr;

@@ -84,11 +84,6 @@ const CausalSpan* CausalRecorder::find(std::uint64_t id) const {
   return &spans_[id - 1];
 }
 
-void CausalRecorder::clear() {
-  spans_.clear();
-  next_trace_ = 1;
-}
-
 namespace {
 
 // A span that was never closed contributes no duration (its start time

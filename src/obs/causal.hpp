@@ -111,7 +111,6 @@ class CausalRecorder {
 
   const std::deque<CausalSpan>& spans() const { return spans_; }
   const CausalSpan* find(std::uint64_t id) const;
-  void clear();
 
  private:
   bool enabled_ = false;

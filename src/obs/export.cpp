@@ -248,30 +248,4 @@ void write_metrics_json(const Snapshot& snap, std::ostream& out, int indent) {
   out << "\n" << pad2 << "}\n" << pad << "}\n";
 }
 
-void write_metrics_text(const Snapshot& snap, std::ostream& out) {
-  std::size_t width = 0;
-  for (const auto& row : snap.rows) width = std::max(width, row.name.size());
-  for (const auto& row : snap.rows) {
-    out << row.name << std::string(width - row.name.size() + 2, ' ');
-    switch (row.kind) {
-      case MetricRow::Kind::kCounter:
-      case MetricRow::Kind::kProbe:
-        out << fmt_double(row.value) << "\n";
-        break;
-      case MetricRow::Kind::kGauge:
-        out << fmt_double(row.value) << " (gauge)\n";
-        break;
-      case MetricRow::Kind::kHistogram:
-        out << "count=" << fmt_double(row.value) << " sum=" << row.hist_sum
-            << " min=" << row.hist_min << " max=" << row.hist_max
-            << " mean="
-            << fmt_double(row.value == 0.0
-                              ? 0.0
-                              : static_cast<double>(row.hist_sum) / row.value)
-            << "\n";
-        break;
-    }
-  }
-}
-
 }  // namespace ntbshmem::obs

@@ -46,9 +46,6 @@ void write_chrome_trace(const Tracer& tracer, std::ostream& out);
 void write_metrics_json(const Snapshot& snap, std::ostream& out,
                         int indent = 0);
 
-// Human-readable aligned dump, one metric per line.
-void write_metrics_text(const Snapshot& snap, std::ostream& out);
-
 // JSON string escaping (shared with bench JSON writers).
 std::string json_escape(std::string_view s);
 

@@ -38,10 +38,4 @@ std::size_t Tracer::total_records() const {
   return n;
 }
 
-void Tracer::clear() {
-  for (auto& tr : tracks_) tr.records.clear();
-  details_.clear();
-  next_async_id_ = 1;
-}
-
 }  // namespace ntbshmem::obs

@@ -111,10 +111,6 @@ class Tracer {
   }
   std::size_t total_records() const;
 
-  // Drops all records (tracks and interned names survive; cached ids held
-  // by components stay valid).
-  void clear();
-
  private:
   void push(TrackId track, TraceRecord rec);
 

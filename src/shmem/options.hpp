@@ -9,6 +9,7 @@
 #include "common/timing_params.hpp"
 #include "common/units.hpp"
 #include "fabric/fabric.hpp"
+#include "host/host.hpp"
 #include "sim/fault.hpp"
 
 namespace ntbshmem::shmem {
@@ -123,8 +124,9 @@ struct ObsOptions {
 
 struct RuntimeOptions {
   // Data-path backend: the simulated NTB fabric (kSim) or real fork()ed
-  // processes over a POSIX shm segment (kShm) (DESIGN.md §4j). All fabric,
-  // timing, fault and tuning knobs below apply to the sim backend only.
+  // processes over a shared-memory segment (kShm) (DESIGN.md §4j). All
+  // fabric, timing, fault and tuning knobs below apply to the sim backend
+  // only.
   backend::Kind backend = backend::Kind::kSim;
   int npes = 3;  // total PEs
   // PEs per host (block mapping: PE p lives on host p / pes_per_host). The
@@ -148,8 +150,9 @@ struct RuntimeOptions {
   std::uint64_t symheap_chunk_bytes = 4_MiB;
   std::uint64_t symheap_max_bytes = 32_MiB;
 
-  // Per-host arena backing heap chunks, staging areas and scratch space.
-  std::uint64_t host_memory_bytes = 96ull << 20;
+  // Per-host arena backing heap chunks, staging areas and scratch space:
+  // one size for every run, reserved but committed only on first touch.
+  static constexpr std::uint64_t host_memory_bytes = host::kArenaBytes;
 
   // Per-link DMA-rate spread (see FabricConfig); empty -> timing default.
   std::vector<double> link_dma_rates_Bps = {3.0e9, 2.6e9, 2.8e9};
@@ -186,7 +189,6 @@ struct RuntimeOptions {
     cfg.num_hosts = num_hosts();
     cfg.topology = topology;
     cfg.timing = timing;
-    cfg.host_memory_bytes = host_memory_bytes;
     cfg.link_dma_rates_Bps = link_dma_rates_Bps;
     cfg.resilient_links = resilient_links;
     return cfg;

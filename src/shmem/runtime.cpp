@@ -82,7 +82,6 @@ Transport& Context::transport() const {
   return runtime_.host_transport(pe_ / runtime_.options().pes_per_host);
 }
 
-host::Host& Context::host() const { return runtime_.fabric().host(pe_); }
 
 void Context::check_pe(int pe, const char* what) const {
   if (pe < 0 || pe >= npes()) {
@@ -378,7 +377,7 @@ Runtime::Runtime(const RuntimeOptions& options)
     }
     backend_ = std::make_unique<backend::DesBackend>(*this);
   } else {
-    // Real processes over a POSIX shm segment: no simulated fabric, no NTB
+    // Real processes over a shared-memory segment: no simulated fabric, no NTB
     // transports — the segment mapping plus futex doorbells are the whole
     // data path (DESIGN.md §4j).
     backend_ = std::make_unique<backend::ShmBackend>(*this);

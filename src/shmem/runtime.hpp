@@ -50,7 +50,6 @@ class Context {
   int pe() const { return pe_; }
   int npes() const;
   Runtime& runtime() const { return runtime_; }
-  host::Host& host() const;
   SymmetricHeap& heap() { return heap_; }
   const SymmetricHeap& heap() const { return heap_; }
   // This PE's backend data-path endpoint (DES transport adapter or the shm

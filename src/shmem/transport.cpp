@@ -1374,7 +1374,7 @@ void Transport::process_frame(const RxToken& token) {
   // The header registers were latched at doorbell arrival; reading the
   // latched bank costs the same non-posted register reads as the live one,
   // charged as one wait for the seven back-to-back reads.
-  engine.wait_for(kFrameRegs * in.config().reg_read);
+  engine.wait_for(kFrameRegs * in.reg_read());
   std::array<std::uint32_t, kFrameRegs> regs{};
   std::copy_n(token.regs.begin(), kFrameRegs, regs.begin());
   const FrameHeader f = FrameHeader::unpack(regs);
@@ -1383,7 +1383,7 @@ void Transport::process_frame(const RxToken& token) {
               static_cast<std::uint32_t>(f.kind), f.id);
   if (reliability_on()) {
     // One more register read: the checksum the sender wrote into reg 7.
-    engine.wait_for(in.config().reg_read);
+    engine.wait_for(in.reg_read());
     if (token.regs[kAckReg] != frame_checksum(regs)) {
       ++stats_.frames_corrupt_dropped;
       flight_.log(engine.now(), obs::FlightCode::kChecksumDrop,

@@ -71,12 +71,14 @@ void Process::block() {
     // Shutdown already reached this process. If we are unwinding (a
     // destructor called back into the engine while ProcessKilled is in
     // flight), silently return so cleanup can finish; otherwise raise.
-    if (std::uncaught_exceptions() == 0) throw ProcessKilled{};
+    if (std::uncaught_exceptions() == kill_base_) throw ProcessKilled{};
     return;
   }
   Fiber::switch_to(*fiber_, engine_.sched_fiber_);
   epoch_++;  // consume: any still-queued wake-up for the old epoch is stale
-  if (killed_ && std::uncaught_exceptions() == 0) throw ProcessKilled{};
+  if (killed_ && std::uncaught_exceptions() == kill_base_) {
+    throw ProcessKilled{};
+  }
 }
 
 // ---- CallbackHandle --------------------------------------------------------
@@ -381,6 +383,10 @@ void Engine::shutdown() {
   for (auto& p : processes_) {
     if (p->finished()) continue;
     p->killed_ = true;
+    // The exception count is per OS thread, shared by every fiber: an
+    // exception unwinding the caller (an owner destroyed during a throw)
+    // already counts here and is no sign of the process's own unwinding.
+    p->kill_base_ = std::uncaught_exceptions();
     if (!p->started_) {
       // Never entered its fiber — nothing to unwind, no stack was built.
       p->mark_finished();

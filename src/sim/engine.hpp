@@ -113,6 +113,10 @@ class Process {
   bool finished_ = false;
   bool started_ = false;
   bool killed_ = false;
+  // std::uncaught_exceptions() when shutdown killed the process: block()
+  // raises ProcessKilled only at this count, and a count above it means
+  // the process's own stack is unwinding.
+  int kill_base_ = 0;
   // Incremented every time the process is actually resumed; queue entries
   // carry the epoch they were created under so a stale entry (a second
   // wake-up queued for a process that already resumed) is skipped.

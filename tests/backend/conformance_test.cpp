@@ -60,7 +60,6 @@ RuntimeOptions options_for(Kind kind, int npes) {
   opts.npes = npes;
   opts.symheap_chunk_bytes = 1u << 20;
   opts.symheap_max_bytes = 4u << 20;
-  opts.host_memory_bytes = 16u << 20;
   return opts;
 }
 

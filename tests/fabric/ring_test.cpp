@@ -13,7 +13,6 @@ namespace {
 FabricConfig small_config(int n) {
   FabricConfig cfg;
   cfg.num_hosts = n;
-  cfg.host_memory_bytes = 8u << 20;
   return cfg;
 }
 

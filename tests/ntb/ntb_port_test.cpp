@@ -26,18 +26,14 @@ class NtbPairFixture : public ::testing::Test {
  protected:
   NtbPairFixture() {
     engine_.attach_obs(&hub_);
-    host_cfg_.memory_bytes = 8u << 20;
-    host_cfg_.bus_Bps = 5.2e9;
-    host_cfg_.isr_latency = sim::usec(15);
-    host_cfg_.isr_dispatch = sim::usec(5);
-    host_a_ = std::make_unique<host::Host>(engine_, 0, host_cfg_);
-    host_b_ = std::make_unique<host::Host>(engine_, 1, host_cfg_);
+    host_a_ = std::make_unique<host::Host>(engine_, 0, timing_);
+    host_b_ = std::make_unique<host::Host>(engine_, 1, timing_);
     link_ = std::make_unique<pcie::Link>(
         engine_, "link", pcie::gen_lanes(pcie::Gen::kGen3, 8));
     PortConfig pc;
-    port_a_ = std::make_unique<NtbPort>(engine_, *host_a_, "a", pc);
+    port_a_ = std::make_unique<NtbPort>(engine_, *host_a_, "a", timing_, pc);
     pc.vector_base = 16;
-    port_b_ = std::make_unique<NtbPort>(engine_, *host_b_, "b", pc);
+    port_b_ = std::make_unique<NtbPort>(engine_, *host_b_, "b", timing_, pc);
     NtbPort::connect(*port_a_, *port_b_, *link_);
   }
 
@@ -51,7 +47,7 @@ class NtbPairFixture : public ::testing::Test {
 
   obs::Hub hub_;  // outlives the engine that points at it
   sim::Engine engine_;
-  host::HostConfig host_cfg_;
+  const TimingParams timing_{};
   std::unique_ptr<host::Host> host_a_;
   std::unique_ptr<host::Host> host_b_;
   std::unique_ptr<pcie::Link> link_;
@@ -223,7 +219,7 @@ TEST_F(NtbPairFixture, PostedBurstIsOneWaitOfAllItsWrites) {
   engine_.run();
   // Seven register writes plus the doorbell, back to back, for one wake of
   // the caller.
-  EXPECT_EQ(took, 8 * PortConfig{}.reg_write);
+  EXPECT_EQ(took, 8 * port_a_->reg_write());
   EXPECT_EQ(dispatches, 1u);
   // The one doorbell's latch snapshot holds all seven values.
   EXPECT_EQ(hub_.metrics.counter("a.doorbells_rung")->value(), 1u);
@@ -250,7 +246,7 @@ TEST_F(NtbPairFixture, PostedBurstWithoutDoorbellRingsNothing) {
     port_a_->ring_doorbell(3);
   });
   engine_.run();
-  EXPECT_EQ(took, 3 * PortConfig{}.reg_write);
+  EXPECT_EQ(took, 3 * port_a_->reg_write());
   EXPECT_EQ(rung->value(), 1u);
   const auto latched = port_b_->pop_latched_frame().regs;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -318,9 +314,9 @@ TEST_F(NtbPairFixture, LinkDropInsideBurstFailsItAndLandsNothing) {
 TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
   PortConfig pc;
   pc.retry_on_link_down = true;
-  NtbPort a(engine_, *host_a_, "ra", pc);
+  NtbPort a(engine_, *host_a_, "ra", timing_, pc);
   pc.vector_base = 16;
-  NtbPort b(engine_, *host_b_, "rb", pc);
+  NtbPort b(engine_, *host_b_, "rb", timing_, pc);
   pcie::Link link(engine_, "rlink", pcie::gen_lanes(pcie::Gen::kGen3, 8));
   NtbPort::connect(a, b, link);
   b.set_latch_bits(1u << 3);
@@ -338,7 +334,7 @@ TEST_F(NtbPairFixture, LinkDropInsideBurstWaitsForRetrainingUnderRetry) {
   engine_.run();
   // The burst ends at 3.2us inside the outage, polls once per retry
   // interval and lands at the first poll that finds the link retrained.
-  EXPECT_EQ(done, 8 * pc.reg_write + kLinkRetryInterval);
+  EXPECT_EQ(done, 8 * a.reg_write() + kLinkRetryInterval);
   const auto latched = b.pop_latched_frame().regs;
   for (std::size_t i = 0; i < kHeader.size(); ++i) {
     EXPECT_EQ(latched[i], kHeader[i]) << "reg " << i;
@@ -360,26 +356,24 @@ TEST_F(NtbPairFixture, ScratchpadIndexRangeChecked) {
 
 TEST(NtbPortTest, UnconnectedPortRejectsUse) {
   sim::Engine engine;
-  host::HostConfig cfg;
-  cfg.memory_bytes = 1u << 20;
-  host::Host h(engine, 0, cfg);
-  NtbPort port(engine, h, "solo", PortConfig{});
+  const TimingParams timing;
+  host::Host h(engine, 0, timing);
+  NtbPort port(engine, h, "solo", timing, PortConfig{});
   EXPECT_THROW(port.peer(), std::logic_error);
   EXPECT_THROW(port.program_window(0, host::Region{0, 64}), std::logic_error);
 }
 
 TEST(NtbPortTest, DoubleConnectRejected) {
   sim::Engine engine;
-  host::HostConfig cfg;
-  cfg.memory_bytes = 1u << 20;
-  host::Host h0(engine, 0, cfg);
-  host::Host h1(engine, 1, cfg);
-  host::Host h2(engine, 2, cfg);
+  const TimingParams timing;
+  host::Host h0(engine, 0, timing);
+  host::Host h1(engine, 1, timing);
+  host::Host h2(engine, 2, timing);
   pcie::Link l0(engine, "l0", pcie::gen_lanes(pcie::Gen::kGen3, 8));
   pcie::Link l1(engine, "l1", pcie::gen_lanes(pcie::Gen::kGen3, 8));
-  NtbPort a(engine, h0, "a", PortConfig{});
-  NtbPort b(engine, h1, "b", PortConfig{});
-  NtbPort c(engine, h2, "c", PortConfig{});
+  NtbPort a(engine, h0, "a", timing, PortConfig{});
+  NtbPort b(engine, h1, "b", timing, PortConfig{});
+  NtbPort c(engine, h2, "c", timing, PortConfig{});
   NtbPort::connect(a, b, l0);
   EXPECT_THROW(NtbPort::connect(a, c, l1), std::logic_error);
 }
@@ -420,9 +414,9 @@ TEST_F(NtbPairFixture, PerLinkDmaRateOverrideAffectsTiming) {
   // downgraded chipset rate, as FabricConfig::link_dma_rates_Bps sets it.
   PortConfig pc;
   pc.dma_rate_Bps = 1.0e9;
-  NtbPort a(engine_, *host_a_, "slow_a", pc);
+  NtbPort a(engine_, *host_a_, "slow_a", timing_, pc);
   pc.vector_base = 16;
-  NtbPort b(engine_, *host_b_, "slow_b", pc);
+  NtbPort b(engine_, *host_b_, "slow_b", timing_, pc);
   pcie::Link link(engine_, "slow_link", pcie::gen_lanes(pcie::Gen::kGen3, 8));
   NtbPort::connect(a, b, link);
   const auto region = host_b_->memory().allocate(1u << 20);

@@ -135,15 +135,5 @@ TEST(CriticalPath, FamilyBreakdownAggregatesRoots) {
   EXPECT_EQ(fams[1].edge_ns.at("frame"), 100u);
 }
 
-TEST(CausalRecorder, ClearResetsIdsAndTraces) {
-  CausalRecorder rec;
-  rec.set_enabled(true);
-  rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1);
-  rec.clear();
-  EXPECT_TRUE(rec.spans().empty());
-  EXPECT_EQ(rec.begin_root(SpanKind::kOp, 0, 0, 0, kFamilyPut, 1), 1u);
-  EXPECT_EQ(rec.find(1)->trace_id, 1u);
-}
-
 }  // namespace
 }  // namespace ntbshmem::obs

@@ -231,21 +231,5 @@ TEST(MetricsExportTest, JsonDumpIsWellFormedAndComplete) {
   EXPECT_NE(json.find("\"buckets\":["), std::string::npos);
 }
 
-TEST(MetricsExportTest, TextDumpHasOneLinePerRow) {
-  MetricsRegistry reg;
-  reg.counter("a.counter")->add(1);
-  reg.gauge("b.gauge")->set(2.0);
-  reg.histogram("c.hist")->record(8);
-
-  std::ostringstream out;
-  write_metrics_text(reg.snapshot(), out);
-  const std::string text = out.str();
-
-  EXPECT_EQ(count_occurrences(text, "\n"), 3u);
-  EXPECT_NE(text.find("a.counter"), std::string::npos);
-  EXPECT_NE(text.find("(gauge)"), std::string::npos);
-  EXPECT_NE(text.find("count=1 sum=8"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ntbshmem::obs

@@ -34,7 +34,6 @@ RuntimeOptions traced_options() {
   opts.routing = fabric::RoutingMode::kRightOnly;
   opts.symheap_chunk_bytes = 1u << 20;
   opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 32u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   opts.obs.spans_enabled = true;
   return opts;

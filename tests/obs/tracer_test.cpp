@@ -123,27 +123,6 @@ TEST(TracerTest, InstantDetailStoresStringSideTable) {
   EXPECT_EQ(recs[1].detail, kNoDetail);
 }
 
-TEST(TracerTest, ClearDropsRecordsButKeepsIdsValid) {
-  Tracer tr;
-  tr.set_enabled(true);
-  const TrackId t = tr.track("host0", "pe0");
-  const CategoryId cat = tr.category("op");
-  const EventId ev = tr.event("put");
-  tr.async_begin(t, cat, ev, 1, 1);
-  tr.async_end(t, cat, ev, 2, 1);
-  ASSERT_EQ(tr.total_records(), 2u);
-
-  tr.clear();
-  EXPECT_EQ(tr.total_records(), 0u);
-  // Cached ids held by components must survive a clear: same id back, and
-  // recording on the old TrackId goes to the same (now empty) track.
-  EXPECT_EQ(tr.track("host0", "pe0"), t);
-  EXPECT_EQ(tr.category("op"), cat);
-  EXPECT_EQ(tr.event("put"), ev);
-  tr.instant(t, cat, ev, 3);
-  EXPECT_EQ(tr.tracks()[t].records.size(), 1u);
-}
-
 TEST(TracerTest, CounterSamplesCarryValues) {
   Tracer tr;
   tr.set_enabled(true);

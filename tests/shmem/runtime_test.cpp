@@ -193,7 +193,7 @@ std::uint64_t resident_bytes() {
 }
 
 // Host DRAM is committed page by page as a run touches it: building a
-// 64-host ring with default 96 MiB arenas must not make 6 GiB resident.
+// 64-host ring with 96 MiB arenas must not make 6 GiB resident.
 TEST(RuntimeTest, ConstructionCommitsNoHostMemoryUpFront) {
   RuntimeOptions opts;
   opts.backend = backend::Kind::kSim;

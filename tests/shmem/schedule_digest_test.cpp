@@ -33,7 +33,6 @@ RuntimeOptions digest_options(TransportTuning tuning) {
   opts.tuning = tuning;
   opts.symheap_chunk_bytes = 2u << 20;
   opts.symheap_max_bytes = 16u << 20;
-  opts.host_memory_bytes = 64u << 20;
   opts.schedule_digest = true;
   return opts;
 }

@@ -21,7 +21,6 @@ inline RuntimeOptions test_options(
   opts.completion = completion;
   opts.symheap_chunk_bytes = 1 << 20;
   opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 32u << 20;
   return opts;
 }
 

@@ -319,6 +319,35 @@ TEST(EngineTest, DestructorKillsBlockedProcessesCleanly) {
   EXPECT_TRUE(cleaned_up);
 }
 
+TEST(EngineTest, ShutdownDuringCallerExceptionKillsEachProcessOnce) {
+  // std::uncaught_exceptions() is per OS thread and every fiber shares it:
+  // an owner torn down while its caller's exception propagates must still
+  // unwind each killed process, not turn its waits into returns.
+  struct Owner {
+    Engine engine;
+    Event ev{engine, "never"};
+    ~Owner() { engine.shutdown(); }
+  };
+  int n = 0;
+  try {
+    Owner owner;
+    owner.engine.spawn(
+        "daemon",
+        [&] {
+          for (int i = 0; i < 1000; ++i) {
+            ++n;
+            owner.ev.wait();
+          }
+        },
+        /*daemon=*/true);
+    owner.engine.spawn("worker", [&] { owner.engine.wait_for(usec(1)); });
+    owner.engine.run();
+    throw std::runtime_error("caller fails");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(n, 1);
+}
+
 TEST(EngineTest, LiveProcessCountTracksCompletion) {
   Engine engine;
   engine.spawn("a", [&] { engine.wait_for(usec(1)); });

@@ -359,6 +359,33 @@ TEST(DetlintCompdb, ParsesCMakeShapeAndResolvesRelativePaths) {
   std::remove(path.c_str());
 }
 
+TEST(DetlintCompdb, ResolvesEachEntryAgainstItsOwnDirectory) {
+  // JSON leaves key order free: "file" may precede its entry's
+  // "directory", and every entry carries its own.
+  const std::string path = ::testing::TempDir() + "/detlint_compdb_dirs.json";
+  {
+    std::ofstream out(path);
+    out << R"([{"file":"a.cpp","directory":"/proj/one"},)"
+        << R"({"file":"b.cpp","directory":"/proj/two"}])";
+  }
+  EXPECT_EQ(detlint::compdb_files(path),
+            (std::vector<std::string>{"/proj/one/a.cpp", "/proj/two/b.cpp"}));
+  std::remove(path.c_str());
+}
+
+TEST(DetlintCompdb, MalformedDatabaseThrows) {
+  const std::string path = ::testing::TempDir() + "/detlint_compdb_bad.json";
+  for (const char* text : {R"([{"file": "a.cpp",])", R"({"file": "a.cpp"})",
+                           R"([{"directory": "/proj"}])"}) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    EXPECT_THROW(detlint::compdb_files(path), std::runtime_error) << text;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(DetlintCompdb, SiblingHeadersJoinTheScan) {
   // unordered_use.cc's directory holds unordered_decl.hh; pulling sibling
   // headers in is what connects declaration to iteration under --compdb.

@@ -26,7 +26,6 @@ shmem::RuntimeOptions paper_options(int npes) {
   opts.schedule_digest = true;
   opts.symheap_chunk_bytes = 1 << 20;
   opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 32u << 20;
   opts.link_dma_rates_Bps = {3.0e9};
   return opts;
 }

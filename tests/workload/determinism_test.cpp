@@ -23,7 +23,6 @@ shmem::RuntimeOptions small_options(int npes) {
   opts.schedule_digest = true;
   opts.symheap_chunk_bytes = 1 << 20;
   opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 32u << 20;
   return opts;
 }
 

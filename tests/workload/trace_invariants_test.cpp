@@ -35,7 +35,6 @@ shmem::RuntimeOptions faulty_options() {
   opts.obs.causal_enabled = true;
   opts.symheap_chunk_bytes = 1 << 20;
   opts.symheap_max_bytes = 8u << 20;
-  opts.host_memory_bytes = 32u << 20;
   return opts;
 }
 

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "../tracecheck/json.hpp"
+
 namespace detlint {
 namespace {
 
@@ -514,32 +516,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// Reads the next JSON string starting at or after `pos` in `text`; returns
-// the unescaped value and advances `pos` past the closing quote.
-std::string next_json_string(const std::string& text, std::size_t& pos) {
-  pos = text.find('"', pos);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("detlint: malformed compile_commands.json");
-  }
-  ++pos;
-  std::string out;
-  while (pos < text.size() && text[pos] != '"') {
-    if (text[pos] == '\\' && pos + 1 < text.size()) {
-      ++pos;
-      switch (text[pos]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += text[pos];
-      }
-    } else {
-      out += text[pos];
-    }
-    ++pos;
-  }
-  ++pos;
-  return out;
-}
-
 // Shared by filter_by_prefix and path-scoped exemptions: `prefix` matches
 // at the start of `file` or as an interior path-component run, so
 // "src/backend/shm" covers "/repo/src/backend/shm/futex.hpp" but not
@@ -646,29 +622,25 @@ std::vector<Diagnostic> run_rules(const std::vector<std::string>& files,
 }
 
 std::vector<std::string> compdb_files(const std::string& compdb_path) {
-  const std::string text = read_file(compdb_path);
+  namespace json = ntbshmem::tracecheck::json;
+  const json::Value db = json::parse(read_file(compdb_path));
+  if (!db.is_array()) {
+    throw std::runtime_error("detlint: " + compdb_path +
+                             " is not a JSON array");
+  }
   std::vector<std::string> files;
-  std::string directory;
-  std::size_t pos = 0;
-  for (;;) {
-    // Scan for the next "directory" or "file" key, tracking the most recent
-    // directory so relative file entries can be resolved against it.
-    const std::size_t dpos = text.find("\"directory\"", pos);
-    const std::size_t fpos = text.find("\"file\"", pos);
-    if (fpos == std::string::npos) break;
-    if (dpos != std::string::npos && dpos < fpos) {
-      std::size_t p = dpos + 11;
-      directory = next_json_string(text, p);
-      pos = p;
-      continue;
+  for (const json::Value& entry : db.arr) {
+    if (!entry.at("file").is_string()) {
+      throw std::runtime_error("detlint: " + compdb_path +
+                               " has an entry without a \"file\" string");
     }
-    std::size_t p = fpos + 6;
-    std::string file = next_json_string(text, p);
-    pos = p;
+    // A relative file resolves against its own entry's directory.
+    std::string file = entry.at("file").str;
+    const std::string& directory = entry.at("directory").str;
     if (!file.empty() && file[0] != '/' && !directory.empty()) {
       file = directory + "/" + file;
     }
-    files.push_back(file);
+    files.push_back(std::move(file));
   }
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());

@@ -94,9 +94,9 @@ std::vector<Diagnostic> run_rules(const std::vector<std::string>& files);
 std::vector<Diagnostic> run_rules(const std::vector<std::string>& files,
                                   std::vector<Exemption>& exemptions);
 
-// Extracts the "file" entries from a CMake compile_commands.json. Minimal
-// parser: sufficient for CMake's output shape. Throws std::runtime_error on
-// unreadable/garbled input.
+// Extracts the "file" entries from a compile_commands.json, each relative
+// path resolved against its own entry's "directory". Throws
+// std::runtime_error on unreadable or malformed input.
 std::vector<std::string> compdb_files(const std::string& compdb_path);
 
 // For every directory containing one of `files`, adds the *.h/*.hpp files

@@ -48,7 +48,6 @@ void usage(std::ostream& out) {
          "  --topo=SPEC         ring:N | chordal:N:S1+S2 | torus:RxC |\n"
          "                      mesh:N\n"
          "  --mode=NAME         right | shortest | dor\n"
-         "  --seed=N            routing tie-break seed (default 0)\n"
          "  --table=FILE        verify a next-port matrix fixture instead\n"
          "  --sweep             all generators x all compatible modes\n"
          "  --discipline=NAME   store-and-forward (default) | cut-through\n";
@@ -182,16 +181,16 @@ void print_report(const std::string& label, const DepGraphReport& r,
   }
 }
 
-bool check_table(const Topology& topo, RoutingMode mode, std::uint64_t seed,
-                 Discipline disc, const std::string& label) {
-  const RoutingTable rt = RoutingTable::build(topo, mode, seed);
+bool check_table(const Topology& topo, RoutingMode mode, Discipline disc,
+                 const std::string& label) {
+  const RoutingTable rt = RoutingTable::build(topo, mode);
   const DepGraphReport r =
       ntbshmem::fabric::analyze_routing(topo, table_route_classes(rt));
   print_report(label, r, disc);
   return ntbshmem::fabric::certifies(r, disc);
 }
 
-bool sweep(std::uint64_t seed, Discipline disc) {
+bool sweep(Discipline disc) {
   struct Combo {
     const char* topo;
     const char* mode;
@@ -212,8 +211,7 @@ bool sweep(std::uint64_t seed, Discipline disc) {
     const std::string label =
         std::string("topo=") + c.topo + " mode=" + c.mode;
     try {
-      ok = check_table(parse_topo(c.topo), parse_mode(c.mode), seed, disc,
-                       label) &&
+      ok = check_table(parse_topo(c.topo), parse_mode(c.mode), disc, label) &&
            ok;
     } catch (const std::invalid_argument& e) {
       std::cout << "routecheck: " << label << "\n"
@@ -229,7 +227,6 @@ int main(int argc, char** argv) {
   std::string topo_spec;
   std::string mode_name;
   std::string table_path;
-  std::uint64_t seed = 0;
   bool do_sweep = false;
   Discipline disc = Discipline::kStoreAndForward;
 
@@ -242,8 +239,6 @@ int main(int argc, char** argv) {
       topo_spec = arg.substr(7);
     } else if (arg.rfind("--mode=", 0) == 0) {
       mode_name = arg.substr(7);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
     } else if (arg.rfind("--table=", 0) == 0) {
       table_path = arg.substr(8);
     } else if (arg == "--sweep") {
@@ -267,7 +262,7 @@ int main(int argc, char** argv) {
 
   try {
     if (do_sweep) {
-      return sweep(seed, disc) ? 0 : 1;
+      return sweep(disc) ? 0 : 1;
     }
     if (!table_path.empty()) {
       const Fixture fx = load_fixture(table_path);
@@ -286,8 +281,8 @@ int main(int argc, char** argv) {
       usage(std::cerr);
       return 2;
     }
-    return check_table(parse_topo(topo_spec), parse_mode(mode_name), seed,
-                       disc, "topo=" + topo_spec + " mode=" + mode_name)
+    return check_table(parse_topo(topo_spec), parse_mode(mode_name), disc,
+                       "topo=" + topo_spec + " mode=" + mode_name)
                ? 0
                : 1;
   } catch (const std::exception& e) {

@@ -1,4 +1,5 @@
-// Minimal self-contained JSON DOM for tools/tracecheck.
+// Minimal self-contained JSON DOM for tools/tracecheck (detlint reads
+// compile_commands.json with it too).
 //
 // Parses exactly the subset the ntbshmem-trace-v1 artifact uses (objects,
 // arrays, strings with escapes, numbers incl. exponents, booleans, null)
